@@ -41,12 +41,13 @@ func (b *DeltaBatch) AddWatched(mask uint64, s isa.Signal, v uint64) {
 type EventSink interface {
 	Apply(b *DeltaBatch)
 	// WatchMask reports which signals currently have a consumer, as a
-	// bitmask indexed by isa.Signal. A zero mask means the sink is idle:
-	// the core then takes a fused fast path that skips delta bookkeeping
-	// and batch construction entirely, so the sink must not rely on
-	// seeing every batch. With a non-zero mask the core still skips
-	// individual signals outside the mask. Statistics and timing are
-	// unaffected either way.
+	// bitmask indexed by isa.Signal. The sink must not rely on seeing one
+	// batch per uop: unless a sampler is armed on a watched non-time
+	// signal (see SamplingSink), or a watched signal has no Stats counter
+	// (fp_ops, vec_fp_ops, l1i_*), the core charges uops on its fused
+	// quiet path and FlushEvents delivers the summed deltas in one batch.
+	// Signals outside the mask are never delivered. Statistics and
+	// timing are unaffected either way.
 	WatchMask() uint64
 }
 
@@ -116,8 +117,8 @@ type Core struct {
 	// sinkMask caches the sink's watch mask between refreshes. PMU
 	// configuration only changes between workload runs (kernel perf
 	// calls never interleave with interpretation), so the interpreter
-	// refreshes it at block boundaries instead of paying an interface
-	// call per uop.
+	// refreshes it once when a run starts instead of paying an
+	// interface call per uop or per block.
 	sinkMask      uint64
 	sinkMaskValid bool
 	// sinkSampling caches whether the sink has an armed overflow
@@ -125,17 +126,19 @@ type Core struct {
 	// event delivery is purely additive and region execution may
 	// coalesce block-edge flushes.
 	sinkSampling bool
+	// perUop caches whether the watched signals need per-uop delivery
+	// through emit (see needsPerUop); refreshed with sinkMask.
+	perUop bool
 
-	// Flush marks for batched time-signal delivery. While only
-	// cycle/instret/mode-cycle counters are watched, uops run through
-	// the fused quiet path and FlushEvents reconstructs the deltas
-	// since the last flush from these marks at block boundaries.
+	// mark holds the statistics at the last flush. While no per-uop
+	// delivery is needed, uops run through the fused quiet path and
+	// FlushEvents delivers Stats − mark for every watched signal.
 	// Sample PCs are block-granular anyway, so batching adds at most
 	// one block of skid — far below any sampling period — while total
-	// counts stay exact.
-	flushCycles     uint64
-	flushInstretFx  uint64
-	timerSinceFlush uint64
+	// counts stay exact. Every flush re-bases the time fields (Cycles,
+	// Instret, TimerTicks); the count fields are re-based only while a
+	// count signal is watched, and when one starts being watched.
+	mark Stats
 
 	batch DeltaBatch
 	stats Stats
@@ -216,10 +219,14 @@ func (c *Core) SetSink(s EventSink) {
 	c.sinkMaskValid = false
 }
 
-// RefreshSinkMask re-reads the sink's watch mask. The interpreter
-// calls this at block boundaries; anyone reconfiguring counters while
-// driving Exec directly should call it before the next uop.
+// RefreshSinkMask re-reads the sink's watch mask and sampling state,
+// which together decide how events are delivered: per uop through
+// emit when needsPerUop says so, otherwise summed by FlushEvents. The
+// interpreter calls this when a run starts; anyone reconfiguring
+// counters while driving Exec directly should flush, then call it
+// before the next uop.
 func (c *Core) RefreshSinkMask() {
+	prevCounts := c.sinkMask & countSigMask
 	c.sinkMask = 0
 	c.sinkSampling = false
 	if c.sink != nil {
@@ -235,28 +242,41 @@ func (c *Core) RefreshSinkMask() {
 			}
 		}
 	}
+	c.perUop = needsPerUop(c.sinkMask, c.sinkSampling)
+	if prevCounts == 0 && c.sinkMask&countSigMask != 0 {
+		// Count marks go stale while no count signal is watched; start
+		// the newly watched counts from now, not from an old flush.
+		c.rebaseCountMarks()
+	}
 	c.sinkMaskValid = true
 }
 
-// FlushEvents delivers the time-signal deltas accumulated since the
-// last flush (reconstructed from the cycle/instret flush marks) to the
-// sink. Sampling overflow fires here, so callers must flush before
-// reading counters or changing the sink configuration. The marks are
-// advanced unconditionally, so enabling counters mid-session never
-// replays history.
+// needsPerUop reports whether a watch mask must be delivered one uop at
+// a time. Only two configurations need it: a signal with no Stats
+// counter to reconstruct it from (fp_ops, vec_fp_ops, l1i_*; no
+// platform maps them), and an armed sampler while any non-time signal
+// is watched, where an overflow on an event counter must fire at the
+// uop that crosses it. Everything else, including every counting
+// session and the X60 time-only sampling group, is delivered in sums.
+func needsPerUop(mask uint64, sampling bool) bool {
+	return mask&^(timeSigMask|countSigMask) != 0 ||
+		sampling && mask&^timeSigMask != 0
+}
+
+// FlushEvents delivers Stats − mark for every watched signal, as one
+// batch, and re-bases the marks. While no per-uop delivery is needed
+// (see needsPerUop) it is the only delivery point; otherwise emit keeps
+// the marks current and there is nothing left to flush. Sampling
+// overflow fires here, so callers must flush before reading counters
+// or changing the sink configuration. The time marks are advanced
+// unconditionally, so enabling counters mid-session never replays
+// history.
 func (c *Core) FlushEvents() {
-	cycleDelta := c.cycles - c.flushCycles
-	instretDelta := (c.instretFx - c.flushInstretFx) >> 8
-	timerCycles := c.timerSinceFlush
-	c.flushCycles = c.cycles
-	// Advance the instret mark by whole instructions only, carrying the
-	// fixed-point remainder into the next window — otherwise fractional
-	// expansion factors (x86) leak up to one instruction per flush.
-	c.flushInstretFx += instretDelta << 8
-	c.timerSinceFlush = 0
-	if cycleDelta == 0 && instretDelta == 0 {
-		return
-	}
+	instret := c.instretFx >> 8
+	cycleDelta := c.cycles - c.mark.Cycles
+	instretDelta := instret - c.mark.Instret
+	timerCycles := (c.stats.TimerTicks - c.mark.TimerTicks) * c.cfg.TimerHandlerCycles
+	c.mark.Cycles, c.mark.Instret, c.mark.TimerTicks = c.cycles, instret, c.stats.TimerTicks
 	mask := c.sinkMask
 	if mask == 0 || c.sink == nil {
 		return
@@ -275,16 +295,45 @@ func (c *Core) FlushEvents() {
 		b.AddWatched(mask, isa.SigMModeCycle, userCycles)
 	}
 	b.AddWatched(mask, isa.SigSModeCycle, timerCycles)
+	if mask&countSigMask != 0 {
+		c.addCountDeltas(b, mask)
+	}
 	if b.N > 0 {
 		c.sink.Apply(b)
 	}
 }
 
-// BlockBoundary marks a basic-block transition: batched deltas are
-// flushed and the sink mask is re-read.
-func (c *Core) BlockBoundary() {
-	c.FlushEvents()
-	c.RefreshSinkMask()
+// addCountDeltas appends Stats − mark for every watched count signal,
+// derived exactly as emit derives the per-uop increments, then re-bases
+// the count marks.
+func (c *Core) addCountDeltas(b *DeltaBatch, mask uint64) {
+	s, m := &c.stats, &c.mark
+	loads, stores := s.Loads-m.Loads, s.Stores-m.Stores
+	l1Misses := s.L1DMisses - m.L1DMisses
+	b.AddWatched(mask, isa.SigLoad, loads)
+	b.AddWatched(mask, isa.SigStore, stores)
+	b.AddWatched(mask, isa.SigL1DAccess, loads+stores)
+	b.AddWatched(mask, isa.SigBranch, c.bp.Branches-m.Branches)
+	b.AddWatched(mask, isa.SigBranchMiss, c.bp.Mispredicts-m.Mispredicts)
+	b.AddWatched(mask, isa.SigL1DMiss, l1Misses)
+	b.AddWatched(mask, isa.SigL2Access, l1Misses)
+	b.AddWatched(mask, isa.SigL2Miss, s.L2Misses-m.L2Misses)
+	b.AddWatched(mask, isa.SigStall, s.StallCycles-m.StallCycles)
+	b.AddWatched(mask, isa.SigDRAMBytes, s.DRAMBytes-m.DRAMBytes)
+	b.AddWatched(mask, isa.SigL1DBytes, s.L1DBytes-m.L1DBytes)
+	b.AddWatched(mask, isa.SigL2Bytes, s.L2Bytes-m.L2Bytes)
+	b.AddWatched(mask, isa.SigFPFlop, s.Flops-m.Flops)
+	b.AddWatched(mask, isa.SigSpecFlop, s.SpecFlops-m.SpecFlops)
+	b.AddWatched(mask, isa.SigIntOp, s.IntOps-m.IntOps)
+	c.rebaseCountMarks()
+}
+
+// rebaseCountMarks moves every mark except the time marks to the
+// current statistics; undelivered time deltas stay pending.
+func (c *Core) rebaseCountMarks() {
+	m := c.mark
+	c.mark = c.Stats()
+	c.mark.Cycles, c.mark.Instret, c.mark.TimerTicks = m.Cycles, m.Instret, m.TimerTicks
 }
 
 // Reset returns the core to its post-construction state.
@@ -307,7 +356,7 @@ func (c *Core) Reset() {
 	c.memh.Reset()
 	c.stats = Stats{}
 	c.sinkMaskValid = false
-	c.flushCycles, c.flushInstretFx, c.timerSinceFlush = 0, 0, 0
+	c.mark = Stats{}
 	c.nextTimer = 0
 	if c.cfg.TimerIntervalCycles > 0 {
 		c.nextTimer = c.cfg.TimerIntervalCycles
@@ -319,16 +368,15 @@ func (c *Core) Exec(u *Uop) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	mask := c.sinkMask
-	if mask&^timeSigMask == 0 {
-		// Idle, or only cycle/instret/mode-cycle counters are watched
-		// (the X60 sampling workaround): those deltas are running sums,
-		// so the fused quiet path charges the uop and FlushEvents
-		// reconstructs the batch from the flush marks at the next block
-		// boundary.
+	if !c.perUop {
+		// Idle, counting without a sampler, or sampling on time signals
+		// only (the X60 workaround): every watched delta is a running
+		// sum of Stats, so the fused quiet path charges the uop and
+		// FlushEvents reconstructs the batch from the flush marks.
 		c.execQuiet(u)
 		return
 	}
+	mask := c.sinkMask
 	startCycles := c.cycles
 	startInstret := c.instretFx >> 8
 	startStalls := c.stats.StallCycles
@@ -359,23 +407,32 @@ func (c *Core) Exec(u *Uop) {
 
 	c.emit(u, mask, startCycles, startInstret, startStalls, access, mispredict, timerCycles)
 	// Per-uop delivery keeps the flush marks current so a later
-	// time-only (batched) phase starts from a clean window.
-	c.flushCycles = c.cycles
-	c.flushInstretFx = c.instretFx
-	c.timerSinceFlush = 0
+	// batched phase starts from a clean window.
+	c.mark = c.Stats()
 }
 
 // timeSigMask covers the pure time/instruction signals: the set the
 // X60 sampling workaround watches (mode-cycle leader plus cycles and
-// instret members). When nothing outside it is watched, uops take the
-// quiet path and FlushEvents delivers the batched deltas.
+// instret members). A sampler armed on one of them still lets uops take
+// the quiet path, with FlushEvents delivering the batched deltas at
+// block boundaries.
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
 
-// execQuiet is the fused fast path taken while no sink consumer is
-// active: it charges time and accumulates statistics exactly like the
-// full path, but skips the delta snapshots and DeltaBatch construction
-// that only matter when counters or samplers are observing the stream.
+// countSigMask covers the event signals FlushEvents reconstructs from
+// Stats (see addCountDeltas). Together with timeSigMask it is every
+// signal any platform maps.
+const countSigMask = 1<<uint(isa.SigLoad) | 1<<uint(isa.SigStore) |
+	1<<uint(isa.SigL1DAccess) | 1<<uint(isa.SigL1DMiss) | 1<<uint(isa.SigL2Access) |
+	1<<uint(isa.SigL2Miss) | 1<<uint(isa.SigBranch) | 1<<uint(isa.SigBranchMiss) |
+	1<<uint(isa.SigStall) | 1<<uint(isa.SigDRAMBytes) | 1<<uint(isa.SigL1DBytes) |
+	1<<uint(isa.SigL2Bytes) | 1<<uint(isa.SigFPFlop) | 1<<uint(isa.SigSpecFlop) |
+	1<<uint(isa.SigIntOp)
+
+// execQuiet is the fused fast path taken unless needsPerUop: it charges
+// time and accumulates statistics exactly like the full path, but skips
+// the delta snapshots and DeltaBatch construction that only matter when
+// events must be delivered per uop.
 // The pipeline models are inlined (rather than calling execInOrder /
 // execOutOfOrder) so non-memory uops never touch an AccessResult;
 // TestQuietPathMatchesObserved pins the equivalence.
@@ -395,8 +452,6 @@ func (c *Core) execQuiet(u *Uop) {
 		c.instretFx += timerCycles << 8
 		c.nextTimer += c.cfg.TimerIntervalCycles
 		c.stats.TimerTicks++
-		// Tracked so FlushEvents can attribute handler time to S-mode.
-		c.timerSinceFlush += timerCycles
 	}
 
 	flops := uint64(u.Flops)

@@ -20,12 +20,14 @@ type RegionDyn struct {
 }
 
 // SamplingSink is optionally implemented by an EventSink that can fire
-// overflow samples (the PMU model). Cores use it to decide whether
-// event delivery must stay block-granular — sample PCs attribute at
-// block edges, so coalescing flushes would move samples — or whether
-// delivery may be batched to region granularity. A sink that does not
-// implement it is conservatively treated as sampling whenever its
-// watch mask is non-zero.
+// overflow samples (the PMU model). Cores use it to decide how events
+// are delivered. With a sampler armed, time signals stay
+// block-granular — sample PCs attribute at block edges, so coalescing
+// flushes would move samples — and any other watched signal goes per
+// uop. Without one, every signal with a Stats counter is summed and
+// delivered at region granularity. A sink that does not implement it
+// is conservatively treated as sampling whenever its watch mask is
+// non-zero.
 type SamplingSink interface {
 	// SamplingActive reports whether any overflow sampler is armed on a
 	// running counter.
@@ -50,10 +52,12 @@ func (c *Core) SamplingActive() bool {
 // holds the recorded runtime operands, parallel to tmpl.
 //
 // The charge sequence is identical to calling Exec once per uop with
-// the same operands: when only time signals (or nothing) are watched,
-// the quiet pipeline loops below charge every uop without building
-// batches; otherwise each uop runs through the full observed Exec
-// path, preserving per-uop event delivery and sampling semantics.
+// the same operands: unless needsPerUop (a sampler armed while a
+// non-time signal is watched, or a signal with no Stats counter), the
+// quiet pipeline loops below charge every uop without building batches
+// and FlushEvents later delivers the summed deltas; otherwise each uop
+// runs through the full observed Exec path, preserving per-uop event
+// delivery and sampling semantics.
 func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if len(tmpl) == 0 {
 		return
@@ -61,7 +65,7 @@ func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	if c.sinkMask&^timeSigMask != 0 {
+	if c.perUop {
 		c.regionObserved(tmpl, dyn, salt)
 		return
 	}
@@ -153,7 +157,6 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			c.instretFx += timerCycles << 8
 			c.nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
-			c.timerSinceFlush += timerCycles
 		}
 
 		flops := uint64(u.Flops)
@@ -232,7 +235,6 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			c.instretFx += timerCycles << 8
 			c.nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
-			c.timerSinceFlush += timerCycles
 		}
 
 		flops := uint64(u.Flops)
@@ -247,11 +249,11 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	}
 }
 
-// regionObserved charges a region while non-time signals are watched:
-// each uop is materialized (template copy, salted slots, dyn overlay)
-// and run through the full per-uop Exec path, so per-uop event
-// delivery — including mid-region overflow sampling on event counters
-// — behaves exactly like the unfused interpreter.
+// regionObserved charges a region while events need per-uop delivery
+// (see needsPerUop): each uop is materialized (template copy, salted
+// slots, dyn overlay) and run through the full per-uop Exec path, so
+// per-uop event delivery — including mid-region overflow sampling on
+// event counters — behaves exactly like the unfused interpreter.
 func (c *Core) regionObserved(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	var u Uop
 	for i := range tmpl {

@@ -71,21 +71,24 @@ func runFMASum(t *testing.T, n int, opts ...CompileOption) (float32, *ExecStats)
 // TestWithHotFuncsGatesKernels pins the profile-guided re-planning
 // hook: kernel specialization engages for every function by default,
 // only for the named functions under WithHotFuncs, and never with
-// superblocks off — with identical results in all cases.
+// superblocks off — with identical results in all cases. Superblocks
+// are requested explicitly so the test holds whatever the environment
+// default is.
 func TestWithHotFuncsGatesKernels(t *testing.T) {
 	const n = 512
-	def, defSt := runFMASum(t, n)
+	on := WithSuperblocks(true)
+	def, defSt := runFMASum(t, n, on)
 	if defSt.KernelHits.Load() == 0 || defSt.KernelIters.Load() != n {
 		t.Errorf("default compile: kernel hits=%d iters=%d, want engaged with %d iters",
 			defSt.KernelHits.Load(), defSt.KernelIters.Load(), n)
 	}
 
-	hot, hotSt := runFMASum(t, n, WithHotFuncs("sum"))
+	hot, hotSt := runFMASum(t, n, on, WithHotFuncs("sum"))
 	if hotSt.KernelHits.Load() == 0 {
 		t.Error("WithHotFuncs(sum): kernel did not engage for the named function")
 	}
 
-	cold, coldSt := runFMASum(t, n, WithHotFuncs("unrelated"))
+	cold, coldSt := runFMASum(t, n, on, WithHotFuncs("unrelated"))
 	if coldSt.KernelHits.Load() != 0 {
 		t.Errorf("WithHotFuncs(unrelated): kernel engaged %d times for an unlisted function",
 			coldSt.KernelHits.Load())

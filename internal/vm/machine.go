@@ -358,14 +358,22 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 	// miss later just reallocates.)
 	savedFrames := len(m.frames)
 	savedStack := m.stackTop
+	core := m.hart.Core
+	// Counters are reconfigured only between runs (a Stat or Record
+	// around this one; interpreted code never calls the perf layer), so
+	// one refresh here serves every block of the run.
+	core.RefreshSinkMask()
 	defer func() {
 		if r := recover(); r != nil {
 			if t, ok := r.(trap); ok {
 				// Charge the region prefix executed before the trap:
 				// every recorded uop completed its semantics, so the
 				// pending window is exactly the set the
-				// per-instruction path would have charged.
+				// per-instruction path would have charged. Then deliver
+				// the batched deltas, as a return would, so counters
+				// read after a failed run match the charged Stats.
 				m.flushPending()
+				core.FlushEvents()
 				m.deferring = false
 				m.frames = m.frames[:savedFrames]
 				m.stackTop = savedStack
@@ -431,7 +439,7 @@ func (m *Machine) call(fp *funcPlan, args []uint64) (uint64, []uint64) {
 		// Flush batched deltas BEFORE moving the PC: samples fired by
 		// the flush must attribute the previous block's cycles to the
 		// block (and frame) that accumulated them.
-		core.BlockBoundary()
+		core.FlushEvents()
 		core.SetPC(bp.pc)
 		fr.curPC = bp.pc
 
