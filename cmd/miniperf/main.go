@@ -207,7 +207,7 @@ func main() {
 	requestTimeout := fs.Duration("request-timeout", 0, "daemon-side deadline for served requests (0 = daemon default)")
 	hierarchical := fs.Bool("hierarchical", false, "roofline: also collect L1/L2/DRAM ceilings and per-level traffic")
 	asJSON := fs.Bool("json", false, "emit the profile as JSON instead of rendered text")
-	vmStats := fs.Bool("vm-stats", false, "print VM execution coverage (fused steps, kernel hits) to stderr")
+	vmStats := fs.Bool("vm-stats", false, "print VM execution coverage (steps, kernel hits) to stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of miniperf itself here")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile of miniperf itself here")
 	fs.Parse(os.Args[2:])
@@ -241,22 +241,17 @@ func main() {
 		opts = append(opts, mperf.WithArtifactDir(*cacheDir))
 	}
 	// -vm-stats: diagnostic coverage counters, printed to stderr on
-	// exit and deliberately kept out of Profile output (profiles stay
-	// bit-identical with and without superblocks). Only in-process
+	// exit and deliberately kept out of Profile output (profiles do not
+	// depend on cache state or kernel matching). Only in-process
 	// execution feeds the accumulator; daemon-served requests run in
 	// the daemon's VMs.
 	var execStats mperf.ExecStats
 	if *vmStats {
 		opts = append(opts, mperf.WithExecStats(&execStats))
 		defer func() {
-			total, fused := execStats.TotalSteps.Load(), execStats.FusedSteps.Load()
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(fused) / float64(total)
-			}
 			fmt.Fprintf(os.Stderr,
-				"miniperf: vm-stats: %d steps, %d fused (%.1f%%), %d kernel activations, %d kernel iterations\n",
-				total, fused, pct, execStats.KernelHits.Load(), execStats.KernelIters.Load())
+				"miniperf: vm-stats: %d steps, %d kernel activations, %d kernel iterations\n",
+				execStats.TotalSteps.Load(), execStats.KernelHits.Load(), execStats.KernelIters.Load())
 		}()
 	}
 	if *elems > 0 {

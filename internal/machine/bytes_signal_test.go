@@ -7,7 +7,7 @@ import (
 )
 
 // TestByteSignalsMatchStats pins the per-level byte attribution plumbing
-// on the observed path: for a mixed load/store stream, the l1d_bytes,
+// with per-uop delivery: for a mixed load/store stream, the l1d_bytes,
 // l2_bytes and dram_bytes deltas delivered through the EventSink must
 // sum to exactly the core's charged Stats, which must in turn equal the
 // hierarchy's own per-level byte counters — on both pipeline kinds.

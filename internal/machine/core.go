@@ -5,9 +5,9 @@ import (
 	"mperf/internal/mem"
 )
 
-// DeltaBatch carries the architectural signal increments produced by
-// one micro-op. It is reused across calls to avoid allocation on the
-// hot path; sinks must not retain it.
+// DeltaBatch carries architectural signal increments: the deltas
+// accumulated since the previous flush. It is reused across calls to
+// avoid allocation on the hot path; sinks must not retain it.
 type DeltaBatch struct {
 	N   int
 	Sig [24]isa.Signal
@@ -42,12 +42,11 @@ type EventSink interface {
 	Apply(b *DeltaBatch)
 	// WatchMask reports which signals currently have a consumer, as a
 	// bitmask indexed by isa.Signal. The sink must not rely on seeing one
-	// batch per uop: unless a sampler is armed on a watched non-time
-	// signal (see SamplingSink), or a watched signal has no Stats counter
-	// (fp_ops, vec_fp_ops, l1i_*), the core charges uops on its fused
-	// quiet path and FlushEvents delivers the summed deltas in one batch.
-	// Signals outside the mask are never delivered. Statistics and
-	// timing are unaffected either way.
+	// batch per uop: unless a sampler is armed while a count signal is
+	// watched (see SamplingSink), FlushEvents delivers the deltas summed
+	// over a whole region or block. Signals outside the mask, and the
+	// signals with no Stats counter (fp_ops, vec_fp_ops, l1i_*), are
+	// never delivered. Statistics and timing are unaffected either way.
 	WatchMask() uint64
 }
 
@@ -126,18 +125,17 @@ type Core struct {
 	// event delivery is purely additive and region execution may
 	// coalesce block-edge flushes.
 	sinkSampling bool
-	// perUop caches whether the watched signals need per-uop delivery
-	// through emit (see needsPerUop); refreshed with sinkMask.
+	// perUop caches whether the watched signals need a flush after every
+	// uop (see needsPerUop); refreshed with sinkMask.
 	perUop bool
 
-	// mark holds the statistics at the last flush. While no per-uop
-	// delivery is needed, uops run through the fused quiet path and
-	// FlushEvents delivers Stats − mark for every watched signal.
-	// Sample PCs are block-granular anyway, so batching adds at most
-	// one block of skid — far below any sampling period — while total
-	// counts stay exact. Every flush re-bases the time fields (Cycles,
-	// Instret, TimerTicks); the count fields are re-based only while a
-	// count signal is watched, and when one starts being watched.
+	// mark holds the statistics at the last flush; FlushEvents delivers
+	// Stats − mark for every watched signal. Sample PCs are
+	// block-granular anyway, so batching adds at most one block of skid
+	// — far below any sampling period — while total counts stay exact.
+	// Every flush re-bases the time fields (Cycles, Instret,
+	// TimerTicks); the count fields are re-based only while a count
+	// signal is watched, and when one starts being watched.
 	mark Stats
 
 	batch DeltaBatch
@@ -220,11 +218,11 @@ func (c *Core) SetSink(s EventSink) {
 }
 
 // RefreshSinkMask re-reads the sink's watch mask and sampling state,
-// which together decide how events are delivered: per uop through
-// emit when needsPerUop says so, otherwise summed by FlushEvents. The
-// interpreter calls this when a run starts; anyone reconfiguring
-// counters while driving Exec directly should flush, then call it
-// before the next uop.
+// which together decide how often ExecRegion flushes: after every uop
+// when needsPerUop says so, otherwise only when the caller calls
+// FlushEvents. The interpreter calls this when a run starts; anyone
+// reconfiguring counters while driving Exec directly should flush,
+// then call it before the next uop.
 func (c *Core) RefreshSinkMask() {
 	prevCounts := c.sinkMask & countSigMask
 	c.sinkMask = 0
@@ -251,26 +249,23 @@ func (c *Core) RefreshSinkMask() {
 	c.sinkMaskValid = true
 }
 
-// needsPerUop reports whether a watch mask must be delivered one uop at
-// a time. Only two configurations need it: a signal with no Stats
-// counter to reconstruct it from (fp_ops, vec_fp_ops, l1i_*; no
-// platform maps them), and an armed sampler while any non-time signal
-// is watched, where an overflow on an event counter must fire at the
-// uop that crosses it. Everything else, including every counting
-// session and the X60 time-only sampling group, is delivered in sums.
+// needsPerUop reports whether a watch mask must be flushed one uop at a
+// time: an armed sampler while a count signal is watched, where an
+// overflow on an event counter must fire at the uop that crosses it.
+// Only the kernel perf API reaches it. Everything else, including every
+// counting session and the X60 time-only sampling group, is delivered
+// in sums.
 func needsPerUop(mask uint64, sampling bool) bool {
-	return mask&^(timeSigMask|countSigMask) != 0 ||
-		sampling && mask&^timeSigMask != 0
+	return sampling && mask&countSigMask != 0
 }
 
 // FlushEvents delivers Stats − mark for every watched signal, as one
-// batch, and re-bases the marks. While no per-uop delivery is needed
-// (see needsPerUop) it is the only delivery point; otherwise emit keeps
-// the marks current and there is nothing left to flush. Sampling
-// overflow fires here, so callers must flush before reading counters
-// or changing the sink configuration. The time marks are advanced
-// unconditionally, so enabling counters mid-session never replays
-// history.
+// batch, and re-bases the marks. It is the only delivery point: the
+// caller flushes at block or region edges, and ExecRegion flushes after
+// every uop when needsPerUop. Sampling overflow fires here, so callers
+// must flush before reading counters or changing the sink
+// configuration. The time marks are advanced unconditionally, so
+// enabling counters mid-session never replays history.
 func (c *Core) FlushEvents() {
 	instret := c.instretFx >> 8
 	cycleDelta := c.cycles - c.mark.Cycles
@@ -304,8 +299,7 @@ func (c *Core) FlushEvents() {
 }
 
 // addCountDeltas appends Stats − mark for every watched count signal,
-// derived exactly as emit derives the per-uop increments, then re-bases
-// the count marks.
+// then re-bases the count marks.
 func (c *Core) addCountDeltas(b *DeltaBatch, mask uint64) {
 	s, m := &c.stats, &c.mark
 	loads, stores := s.Loads-m.Loads, s.Stores-m.Stores
@@ -363,453 +357,27 @@ func (c *Core) Reset() {
 	}
 }
 
-// Exec executes one micro-op, advancing time and emitting signals.
+// Exec executes one micro-op: a one-uop region with salt 0, so its
+// scoreboard slots are the uop's registers masked into the scoreboard.
 func (c *Core) Exec(u *Uop) {
-	if !c.sinkMaskValid {
-		c.RefreshSinkMask()
-	}
-	if !c.perUop {
-		// Idle, counting without a sampler, or sampling on time signals
-		// only (the X60 workaround): every watched delta is a running
-		// sum of Stats, so the fused quiet path charges the uop and
-		// FlushEvents reconstructs the batch from the flush marks.
-		c.execQuiet(u)
-		return
-	}
-	mask := c.sinkMask
-	startCycles := c.cycles
-	startInstret := c.instretFx >> 8
-	startStalls := c.stats.StallCycles
-
-	var access mem.AccessResult
-	var mispredict bool
-
-	if c.cfg.Kind == InOrder {
-		access, mispredict = c.execInOrder(u)
-	} else {
-		access, mispredict = c.execOutOfOrder(u)
-	}
-
-	// Retired-instruction accounting via per-class expansion.
-	c.instretFx += uint64(c.cfg.expansion(u.Class))
-	c.stats.Uops++
-
-	// OS timer tick: periodically spend handler time in S-mode.
-	var timerCycles uint64
-	if c.nextTimer != 0 && c.cycles >= c.nextTimer {
-		timerCycles = c.cfg.TimerHandlerCycles
-		c.cycles += timerCycles
-		// The handler retires roughly one instruction per cycle.
-		c.instretFx += timerCycles << 8
-		c.nextTimer += c.cfg.TimerIntervalCycles
-		c.stats.TimerTicks++
-	}
-
-	c.emit(u, mask, startCycles, startInstret, startStalls, access, mispredict, timerCycles)
-	// Per-uop delivery keeps the flush marks current so a later
-	// batched phase starts from a clean window.
-	c.mark = c.Stats()
+	dyn := [1]RegionDyn{{Addr: u.Addr, Target: u.Target, Taken: u.Taken}}
+	c.ExecRegion([]Uop{*u}, dyn[:], 0)
 }
 
 // timeSigMask covers the pure time/instruction signals: the set the
 // X60 sampling workaround watches (mode-cycle leader plus cycles and
-// instret members). A sampler armed on one of them still lets uops take
-// the quiet path, with FlushEvents delivering the batched deltas at
+// instret members). A sampler armed on one of them still lets regions
+// charge in one pass, with FlushEvents delivering the batched deltas at
 // block boundaries.
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
 
 // countSigMask covers the event signals FlushEvents reconstructs from
 // Stats (see addCountDeltas). Together with timeSigMask it is every
-// signal any platform maps.
+// signal the core delivers.
 const countSigMask = 1<<uint(isa.SigLoad) | 1<<uint(isa.SigStore) |
 	1<<uint(isa.SigL1DAccess) | 1<<uint(isa.SigL1DMiss) | 1<<uint(isa.SigL2Access) |
 	1<<uint(isa.SigL2Miss) | 1<<uint(isa.SigBranch) | 1<<uint(isa.SigBranchMiss) |
 	1<<uint(isa.SigStall) | 1<<uint(isa.SigDRAMBytes) | 1<<uint(isa.SigL1DBytes) |
 	1<<uint(isa.SigL2Bytes) | 1<<uint(isa.SigFPFlop) | 1<<uint(isa.SigSpecFlop) |
 	1<<uint(isa.SigIntOp)
-
-// execQuiet is the fused fast path taken unless needsPerUop: it charges
-// time and accumulates statistics exactly like the full path, but skips
-// the delta snapshots and DeltaBatch construction that only matter when
-// events must be delivered per uop.
-// The pipeline models are inlined (rather than calling execInOrder /
-// execOutOfOrder) so non-memory uops never touch an AccessResult;
-// TestQuietPathMatchesObserved pins the equivalence.
-func (c *Core) execQuiet(u *Uop) {
-	if c.cfg.Kind == InOrder {
-		c.execQuietInOrder(u)
-	} else {
-		c.execQuietOutOfOrder(u)
-	}
-
-	c.instretFx += uint64(c.cfg.expansion(u.Class))
-	c.stats.Uops++
-
-	if c.nextTimer != 0 && c.cycles >= c.nextTimer {
-		timerCycles := c.cfg.TimerHandlerCycles
-		c.cycles += timerCycles
-		c.instretFx += timerCycles << 8
-		c.nextTimer += c.cfg.TimerIntervalCycles
-		c.stats.TimerTicks++
-	}
-
-	flops := uint64(u.Flops)
-	specFlops := flops
-	if flops > 0 && c.replayFP > 0 {
-		specFlops += flops
-		c.replayFP--
-	}
-	c.stats.Flops += flops
-	c.stats.SpecFlops += specFlops
-	c.stats.IntOps += uint64(u.IntOps)
-}
-
-// execQuietInOrder mirrors execInOrder with the memory/branch event
-// bookkeeping folded into the class switch.
-func (c *Core) execQuietInOrder(u *Uop) {
-	earliest := c.cycles
-	if u.Src1 >= 0 {
-		if r := c.ready[uint32(u.Src1)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src2 >= 0 {
-		if r := c.ready[uint32(u.Src2)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src3 >= 0 {
-		if r := c.ready[uint32(u.Src3)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if earliest > c.cycles {
-		c.stats.StallCycles += earliest - c.cycles
-		c.cycles = earliest
-		c.issued = 0
-	}
-	if c.issued >= c.cfg.IssueWidth {
-		c.cycles++
-		c.issued = 0
-	}
-
-	lat := c.cfg.Latency[u.Class]
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		lat += access.Latency
-		c.chargeQuietAccess(access)
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			c.issued = 0
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-		c.chargeQuietAccess(access)
-		c.stats.Stores++
-	case OpBranch:
-		if c.bp.conditional(u.BrID, u.Taken) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.issued = 0
-		}
-	case OpIndirect:
-		if c.bp.indirect(u.BrID, u.Target) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.issued = 0
-		}
-	}
-
-	c.issued++
-	if u.Dst >= 0 {
-		c.ready[uint32(u.Dst)&(scoreboardSize-1)] = c.cycles + lat
-	}
-}
-
-// execQuietOutOfOrder mirrors execOutOfOrder the same way.
-func (c *Core) execQuietOutOfOrder(u *Uop) {
-	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
-	if c.fracCycle >= 256 {
-		c.cycles += c.fracCycle >> 8
-		c.fracCycle &= 255
-	}
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		if access.L1Miss {
-			pen := access.Latency / uint64(c.cfg.MLP)
-			c.cycles += pen
-			c.stats.StallCycles += pen
-			c.replayFP = 8
-		}
-		c.chargeQuietAccess(access)
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		access := c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-		c.chargeQuietAccess(access)
-		c.stats.Stores++
-	case OpIntDiv, OpFPDiv:
-		pen := c.cfg.Latency[u.Class] / 2
-		c.cycles += pen
-		c.stats.StallCycles += pen
-	case OpBranch:
-		if c.bp.conditional(u.BrID, u.Taken) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.stats.StallCycles += c.cfg.MispredictPenalty
-		}
-	case OpIndirect:
-		if c.bp.indirect(u.BrID, u.Target) {
-			c.cycles += c.cfg.MispredictPenalty
-			c.stats.StallCycles += c.cfg.MispredictPenalty
-		}
-	}
-}
-
-// chargeQuietAccess folds a memory access's event counts into the
-// statistics (the quiet-path counterpart of emit's access section).
-func (c *Core) chargeQuietAccess(access mem.AccessResult) {
-	if access.L1Miss {
-		c.stats.L1DMisses++
-	}
-	if access.L2Miss {
-		c.stats.L2Misses++
-	}
-	c.stats.L1DBytes += access.L1Bytes
-	c.stats.L2Bytes += access.L2Bytes
-	c.stats.DRAMBytes += access.DRAMBytes
-}
-
-// execInOrder charges time through the register scoreboard.
-func (c *Core) execInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
-	// Stall until all sources are ready.
-	earliest := c.cycles
-	if u.Src1 >= 0 {
-		if r := c.ready[uint32(u.Src1)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src2 >= 0 {
-		if r := c.ready[uint32(u.Src2)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if u.Src3 >= 0 {
-		if r := c.ready[uint32(u.Src3)&(scoreboardSize-1)]; r > earliest {
-			earliest = r
-		}
-	}
-	if earliest > c.cycles {
-		c.stats.StallCycles += earliest - c.cycles
-		c.cycles = earliest
-		c.issued = 0
-	}
-	if c.issued >= c.cfg.IssueWidth {
-		c.cycles++
-		c.issued = 0
-	}
-
-	lat := c.cfg.Latency[u.Class]
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		lat += access.Latency
-	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		// Stores retire through the store buffer at posted-write cost
-		// (bandwidth, not round-trip latency); the pipeline stalls only
-		// when the buffer is full and the oldest entry has not drained.
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			c.issued = 0
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
-	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
-	}
-	if mispredict {
-		c.cycles += c.cfg.MispredictPenalty
-		c.issued = 0
-	}
-
-	c.issued++
-	if u.Dst >= 0 {
-		c.ready[uint32(u.Dst)&(scoreboardSize-1)] = c.cycles + lat
-	}
-	return access, mispredict
-}
-
-// execOutOfOrder charges time through the analytic model: issue
-// bandwidth plus un-hidable penalties.
-func (c *Core) execOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
-	// Issue bandwidth: 1/width cycles per uop, in ×256 fixed point.
-	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
-	if c.fracCycle >= 256 {
-		c.cycles += c.fracCycle >> 8
-		c.fracCycle &= 255
-	}
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
-		if access.L1Miss {
-			// The window overlaps misses; expose latency/MLP.
-			pen := access.Latency / uint64(c.cfg.MLP)
-			c.cycles += pen
-			c.stats.StallCycles += pen
-			c.replayFP = 8 // downstream FP uops re-issue (counter overcount)
-		}
-	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
-		complete := c.cycles + access.PostedLatency
-		oldest := c.storeBuf[c.storeHead]
-		if oldest > c.cycles {
-			// Store buffer full behind a saturated channel.
-			c.stats.StallCycles += oldest - c.cycles
-			c.cycles = oldest
-			if complete < c.cycles {
-				complete = c.cycles
-			}
-		}
-		c.storeBuf[c.storeHead] = complete
-		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-	case OpIntDiv, OpFPDiv:
-		// Partially pipelined long-latency units.
-		pen := c.cfg.Latency[u.Class] / 2
-		c.cycles += pen
-		c.stats.StallCycles += pen
-	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
-	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
-	}
-	if mispredict {
-		c.cycles += c.cfg.MispredictPenalty
-		c.stats.StallCycles += c.cfg.MispredictPenalty
-	}
-	return access, mispredict
-}
-
-// emit folds the uop's effects into statistics and the event sink.
-// Signals outside the sink's watch mask are skipped at construction.
-func (c *Core) emit(u *Uop, mask uint64, startCycles, startInstret, startStalls uint64,
-	access mem.AccessResult, mispredict bool, timerCycles uint64) {
-
-	cycleDelta := c.cycles - startCycles
-	instretDelta := (c.instretFx >> 8) - startInstret
-	stallDelta := c.stats.StallCycles - startStalls
-
-	flops := uint64(u.Flops)
-	specFlops := flops
-	if flops > 0 && c.replayFP > 0 {
-		specFlops += flops
-		c.replayFP--
-	}
-
-	c.stats.Flops += flops
-	c.stats.SpecFlops += specFlops
-	c.stats.IntOps += uint64(u.IntOps)
-	if access.L1Miss {
-		c.stats.L1DMisses++
-	}
-	if access.L2Miss {
-		c.stats.L2Misses++
-	}
-	c.stats.L1DBytes += access.L1Bytes
-	c.stats.L2Bytes += access.L2Bytes
-	c.stats.DRAMBytes += access.DRAMBytes
-
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		c.stats.Loads++
-	case OpStore, OpVecStore:
-		c.stats.Stores++
-	}
-
-	if c.sink == nil {
-		return
-	}
-	b := &c.batch
-	b.N = 0
-	b.AddWatched(mask, isa.SigCycle, cycleDelta)
-	b.AddWatched(mask, isa.SigInstret, instretDelta)
-	// Mode-cycle signals come after the base counters so that a
-	// sampling leader bound to one of them observes fully-updated
-	// cycles/instret values in its group snapshot.
-	userCycles := cycleDelta - timerCycles
-	switch c.priv {
-	case isa.PrivU:
-		b.AddWatched(mask, isa.SigUModeCycle, userCycles)
-	case isa.PrivS:
-		b.AddWatched(mask, isa.SigSModeCycle, userCycles)
-	case isa.PrivM:
-		b.AddWatched(mask, isa.SigMModeCycle, userCycles)
-	}
-	b.AddWatched(mask, isa.SigSModeCycle, timerCycles)
-	switch u.Class {
-	case OpLoad, OpVecLoad:
-		b.AddWatched(mask, isa.SigLoad, 1)
-		b.AddWatched(mask, isa.SigL1DAccess, 1)
-	case OpStore, OpVecStore:
-		b.AddWatched(mask, isa.SigStore, 1)
-		b.AddWatched(mask, isa.SigL1DAccess, 1)
-	case OpBranch, OpIndirect:
-		b.AddWatched(mask, isa.SigBranch, 1)
-		if mispredict {
-			b.AddWatched(mask, isa.SigBranchMiss, 1)
-		}
-	}
-	if access.L1Miss {
-		b.AddWatched(mask, isa.SigL1DMiss, 1)
-		b.AddWatched(mask, isa.SigL2Access, 1)
-	}
-	if access.L2Miss {
-		b.AddWatched(mask, isa.SigL2Miss, 1)
-	}
-	b.AddWatched(mask, isa.SigStall, stallDelta)
-	b.AddWatched(mask, isa.SigDRAMBytes, access.DRAMBytes)
-	b.AddWatched(mask, isa.SigL1DBytes, access.L1Bytes)
-	b.AddWatched(mask, isa.SigL2Bytes, access.L2Bytes)
-	if u.Class.IsFP() {
-		if u.Class.IsVector() {
-			b.AddWatched(mask, isa.SigVecFPOp, 1)
-		} else {
-			b.AddWatched(mask, isa.SigFPOp, 1)
-		}
-	}
-	b.AddWatched(mask, isa.SigFPFlop, flops)
-	b.AddWatched(mask, isa.SigSpecFlop, specFlops)
-	b.AddWatched(mask, isa.SigIntOp, uint64(u.IntOps))
-	if b.N > 0 {
-		c.sink.Apply(b)
-	}
-}

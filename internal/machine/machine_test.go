@@ -303,13 +303,14 @@ func TestBatchedTimeDeltasSumExactly(t *testing.T) {
 	}
 }
 
-// TestQuietPathMatchesObserved pins the invariant the quiet fast path
-// depends on: a core with no sink must charge exactly the same cycles,
-// instructions and statistics as a core observed by a full-mask sink,
-// for an identical uop stream mixing ALU, memory, divide and branch
-// work across both pipeline kinds.
+// TestQuietPathMatchesObserved pins the charge rule against the
+// reference stepper: a core with no sink, charging through Exec, must
+// charge exactly the same cycles, instructions and statistics as the
+// reference rule observed by a full-mask sink, for an identical uop
+// stream mixing ALU, memory, divide and branch work across both
+// pipeline kinds.
 func TestQuietPathMatchesObserved(t *testing.T) {
-	stream := func(c *Core) {
+	stream := func(c *Core, exec func(*Core, *Uop)) {
 		seed := uint64(12345)
 		next := func() uint64 {
 			seed = seed*6364136223846793005 + 1442695040888963407
@@ -349,7 +350,7 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 				u.Src1 = int32(next() % 64)
 				u.IntOps = 1
 			}
-			c.Exec(&u)
+			exec(c, &u)
 		}
 	}
 	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
@@ -358,8 +359,8 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 		quiet := NewCore(cfg, nil)
 		var sink recordingSink
 		observed := NewCore(cfg, &sink)
-		stream(quiet)
-		stream(observed)
+		stream(quiet, (*Core).Exec)
+		stream(observed, (*Core).refExec)
 		if quiet.Cycles() != observed.Cycles() {
 			t.Errorf("%s: quiet cycles %d != observed %d", cfg.Name, quiet.Cycles(), observed.Cycles())
 		}

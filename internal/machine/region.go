@@ -1,12 +1,13 @@
 package machine
 
-// This file implements region-granular charging: the interpreter's
-// superblock execution mode records one RegionDyn per micro-op while
-// running a straight-line region's semantics, then charges the whole
-// region through ExecRegion in a single call. The per-uop charging
-// logic is the same as Exec's — the quiet pipeline loops are inlined
-// here so a region costs one call instead of one call per uop — and
-// TestRegionMatchesExec pins the equivalence.
+import "mperf/internal/mem"
+
+// This file holds the core's charge rule, one loop per pipeline kind.
+// The interpreter records one RegionDyn per micro-op while running a
+// straight-line region's semantics, then charges the whole region
+// through ExecRegion in a single call; Exec is a one-uop region.
+// TestRegionMatchesExec pins the loops to the reference stepper kept
+// in the tests.
 
 // RegionDyn carries the dynamic operands of one micro-op in a fused
 // region: the memory address, conditional-branch outcome and indirect
@@ -20,14 +21,14 @@ type RegionDyn struct {
 }
 
 // SamplingSink is optionally implemented by an EventSink that can fire
-// overflow samples (the PMU model). Cores use it to decide how events
-// are delivered. With a sampler armed, time signals stay
-// block-granular — sample PCs attribute at block edges, so coalescing
-// flushes would move samples — and any other watched signal goes per
-// uop. Without one, every signal with a Stats counter is summed and
-// delivered at region granularity. A sink that does not implement it
-// is conservatively treated as sampling whenever its watch mask is
-// non-zero.
+// overflow samples (the PMU model). Cores and the interpreter use it to
+// decide how often events are flushed. With a sampler armed, the
+// interpreter flushes at every block edge — sample PCs attribute at
+// block edges, so coalescing flushes would move samples — and, while a
+// count signal is watched, ExecRegion flushes after every uop. Without
+// one, every watched signal is summed and delivered at region
+// granularity. A sink that does not implement it is conservatively
+// treated as sampling whenever its watch mask is non-zero.
 type SamplingSink interface {
 	// SamplingActive reports whether any overflow sampler is armed on a
 	// running counter.
@@ -47,17 +48,16 @@ func (c *Core) SamplingActive() bool {
 
 // ExecRegion charges a straight-line region of micro-ops in one call.
 // tmpl is the region's immutable charge template — uops whose
-// Dst/Src1..3 hold the planner's raw register ids (salted into
-// scoreboard slots here, exactly like the per-uop path) — and dyn
-// holds the recorded runtime operands, parallel to tmpl.
+// Dst/Src1..3 hold the planner's raw register ids, salted into
+// scoreboard slots here — and dyn holds the recorded runtime operands,
+// parallel to tmpl.
 //
-// The charge sequence is identical to calling Exec once per uop with
-// the same operands: unless needsPerUop (a sampler armed while a
-// non-time signal is watched, or a signal with no Stats counter), the
-// quiet pipeline loops below charge every uop without building batches
-// and FlushEvents later delivers the summed deltas; otherwise each uop
-// runs through the full observed Exec path, preserving per-uop event
-// delivery and sampling semantics.
+// The pipeline loops below charge every uop into Stats without building
+// batches; FlushEvents later delivers the summed deltas. When
+// needsPerUop (a sampler armed while a count signal is watched), the
+// region is charged one uop at a time through the same loop with a
+// flush after each, so an overflow on an event counter fires at the uop
+// that crosses it.
 func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if len(tmpl) == 0 {
 		return
@@ -65,23 +65,34 @@ func (c *Core) ExecRegion(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
-	if c.perUop {
-		c.regionObserved(tmpl, dyn, salt)
+	if !c.perUop {
+		c.charge(tmpl, dyn, salt)
 		return
 	}
-	if c.cfg.Kind == InOrder {
-		c.regionQuietInOrder(tmpl, dyn, salt)
-	} else {
-		c.regionQuietOutOfOrder(tmpl, dyn, salt)
+	for i := range tmpl {
+		c.charge(tmpl[i:i+1], dyn[i:i+1], salt)
+		c.FlushEvents()
 	}
 }
 
-// regionQuietInOrder is execQuietInOrder plus execQuiet's retirement
-// tail, fused over the whole region with salted slot hashing inlined.
-func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
+// charge runs the pipeline's charge loop over a region.
+func (c *Core) charge(tmpl []Uop, dyn []RegionDyn, salt uint32) {
+	if c.cfg.Kind == InOrder {
+		c.chargeInOrder(tmpl, dyn, salt)
+	} else {
+		c.chargeOutOfOrder(tmpl, dyn, salt)
+	}
+}
+
+// chargeInOrder charges time through the register scoreboard: a uop
+// issues once its sources are ready and an issue slot is free; loads
+// add their access latency to the destination's ready time, stores
+// drain through the store buffer, and mispredicts flush the pipeline.
+func (c *Core) chargeInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	for i := range tmpl {
 		u := &tmpl[i]
 
+		// Stall until all sources are ready.
 		earliest := c.cycles
 		if u.Src1 >= 0 {
 			if r := c.ready[(uint32(u.Src1)+salt)&(scoreboardSize-1)]; r > earliest {
@@ -113,10 +124,14 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 		case OpLoad, OpVecLoad:
 			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), false)
 			lat += access.Latency
-			c.chargeQuietAccess(access)
+			c.chargeAccess(access)
 			c.stats.Loads++
 		case OpStore, OpVecStore:
 			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), true)
+			// Stores retire through the store buffer at posted-write cost
+			// (bandwidth, not round-trip latency); the pipeline stalls
+			// only when the buffer is full and the oldest entry has not
+			// drained.
 			complete := c.cycles + access.PostedLatency
 			oldest := c.storeBuf[c.storeHead]
 			if oldest > c.cycles {
@@ -129,7 +144,7 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			}
 			c.storeBuf[c.storeHead] = complete
 			c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-			c.chargeQuietAccess(access)
+			c.chargeAccess(access)
 			c.stats.Stores++
 		case OpBranch:
 			if c.bp.conditional(u.BrID, dyn[i].Taken) {
@@ -148,12 +163,15 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			c.ready[(uint32(u.Dst)+salt)&(scoreboardSize-1)] = c.cycles + lat
 		}
 
+		// Retired-instruction accounting via per-class expansion.
 		c.instretFx += uint64(c.cfg.expansion(u.Class))
 		c.stats.Uops++
 
+		// OS timer tick: periodically spend handler time in S-mode.
 		if c.nextTimer != 0 && c.cycles >= c.nextTimer {
 			timerCycles := c.cfg.TimerHandlerCycles
 			c.cycles += timerCycles
+			// The handler retires roughly one instruction per cycle.
 			c.instretFx += timerCycles << 8
 			c.nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
@@ -171,13 +189,16 @@ func (c *Core) regionQuietInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	}
 }
 
-// regionQuietOutOfOrder is execQuietOutOfOrder plus execQuiet's
-// retirement tail, fused the same way.
-func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
+// chargeOutOfOrder charges time through the analytic out-of-order
+// model: issue bandwidth plus the penalties the window cannot hide
+// (L1 misses divided by the memory-level parallelism, a full store
+// buffer, long-latency dividers and mispredicts).
+func (c *Core) chargeOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	issueFx := 256 / uint64(c.cfg.IssueWidth)
 	for i := range tmpl {
 		u := &tmpl[i]
 
+		// Issue bandwidth: 1/width cycles per uop, in ×256 fixed point.
 		c.fracCycle += issueFx
 		if c.fracCycle >= 256 {
 			c.cycles += c.fracCycle >> 8
@@ -188,18 +209,20 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 		case OpLoad, OpVecLoad:
 			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), false)
 			if access.L1Miss {
+				// The window overlaps misses; expose latency/MLP.
 				pen := access.Latency / uint64(c.cfg.MLP)
 				c.cycles += pen
 				c.stats.StallCycles += pen
-				c.replayFP = 8
+				c.replayFP = 8 // downstream FP uops re-issue (counter overcount)
 			}
-			c.chargeQuietAccess(access)
+			c.chargeAccess(access)
 			c.stats.Loads++
 		case OpStore, OpVecStore:
 			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), true)
 			complete := c.cycles + access.PostedLatency
 			oldest := c.storeBuf[c.storeHead]
 			if oldest > c.cycles {
+				// Store buffer full behind a saturated channel.
 				c.stats.StallCycles += oldest - c.cycles
 				c.cycles = oldest
 				if complete < c.cycles {
@@ -208,9 +231,10 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			}
 			c.storeBuf[c.storeHead] = complete
 			c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
-			c.chargeQuietAccess(access)
+			c.chargeAccess(access)
 			c.stats.Stores++
 		case OpIntDiv, OpFPDiv:
+			// Partially pipelined long-latency units.
 			pen := c.cfg.Latency[u.Class] / 2
 			c.cycles += pen
 			c.stats.StallCycles += pen
@@ -226,12 +250,15 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 			}
 		}
 
+		// Retired-instruction accounting via per-class expansion.
 		c.instretFx += uint64(c.cfg.expansion(u.Class))
 		c.stats.Uops++
 
+		// OS timer tick: periodically spend handler time in S-mode.
 		if c.nextTimer != 0 && c.cycles >= c.nextTimer {
 			timerCycles := c.cfg.TimerHandlerCycles
 			c.cycles += timerCycles
+			// The handler retires roughly one instruction per cycle.
 			c.instretFx += timerCycles << 8
 			c.nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
@@ -249,30 +276,16 @@ func (c *Core) regionQuietOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	}
 }
 
-// regionObserved charges a region while events need per-uop delivery
-// (see needsPerUop): each uop is materialized (template copy, salted
-// slots, dyn overlay) and run through the full per-uop Exec path, so
-// per-uop event delivery — including mid-region overflow sampling on
-// event counters — behaves exactly like the unfused interpreter.
-func (c *Core) regionObserved(tmpl []Uop, dyn []RegionDyn, salt uint32) {
-	var u Uop
-	for i := range tmpl {
-		u = tmpl[i]
-		if u.Dst >= 0 {
-			u.Dst = int32((uint32(u.Dst) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src1 >= 0 {
-			u.Src1 = int32((uint32(u.Src1) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src2 >= 0 {
-			u.Src2 = int32((uint32(u.Src2) + salt) & (scoreboardSize - 1))
-		}
-		if u.Src3 >= 0 {
-			u.Src3 = int32((uint32(u.Src3) + salt) & (scoreboardSize - 1))
-		}
-		u.Addr = dyn[i].Addr
-		u.Taken = dyn[i].Taken
-		u.Target = dyn[i].Target
-		c.Exec(&u)
+// chargeAccess folds a memory access's event counts into the
+// statistics.
+func (c *Core) chargeAccess(access mem.AccessResult) {
+	if access.L1Miss {
+		c.stats.L1DMisses++
 	}
+	if access.L2Miss {
+		c.stats.L2Misses++
+	}
+	c.stats.L1DBytes += access.L1Bytes
+	c.stats.L2Bytes += access.L2Bytes
+	c.stats.DRAMBytes += access.DRAMBytes
 }

@@ -68,12 +68,43 @@ func regionStream(n int) ([]Uop, []RegionDyn) {
 	return tmpl, dyn
 }
 
-// TestRegionMatchesExec is the machine-level half of the superblock
-// invariance argument: charging a uop stream through ExecRegion — in
+// regionSizes slices a stream into irregular regions.
+var regionSizes = []int{1, 7, 2, 31, 3, 64, 5, 17, 11, 1, 128, 23}
+
+// forEachRegion calls f with the bounds of each irregular region of a
+// stream of n uops.
+func forEachRegion(n int, f func(i, end int)) {
+	for i, s := 0, 0; i < n; i, s = i+regionSizes[s%len(regionSizes)], s+1 {
+		end := i + regionSizes[s%len(regionSizes)]
+		if end > n {
+			end = n
+		}
+		f(i, end)
+	}
+}
+
+// saltedUop materializes uop i of a template stream the way the
+// reference stepper consumes it: registers salted into scoreboard
+// slots, dynamic operands overlaid.
+func saltedUop(tmpl []Uop, dyn []RegionDyn, i int, salt uint32) Uop {
+	slot := func(r int32) int32 {
+		if r < 0 {
+			return -1
+		}
+		return int32((uint32(r) + salt) & (scoreboardSize - 1))
+	}
+	u := tmpl[i]
+	u.Dst, u.Src1, u.Src2, u.Src3 = slot(u.Dst), slot(u.Src1), slot(u.Src2), slot(u.Src3)
+	u.Addr, u.Taken, u.Target = dyn[i].Addr, dyn[i].Taken, dyn[i].Target
+	return u
+}
+
+// TestRegionMatchesExec pins the core's one charge rule to the
+// reference stepper: charging a uop stream through ExecRegion — in
 // irregular region-sized slices — must leave the core in exactly the
-// state that per-uop Exec calls produce, for both pipeline kinds and
-// for every sink shape (quiet, time-only watcher, full-mask watcher),
-// including every event total the sink observed.
+// state that one reference step per uop produces, for both pipeline
+// kinds and for every sink shape (quiet, time-only watcher, full-mask
+// watcher), including every event total the sink observed.
 func TestRegionMatchesExec(t *testing.T) {
 	const salt = uint32(7 * 251)
 	tmpl, dyn := regionStream(50_000)
@@ -102,31 +133,15 @@ func TestRegionMatchesExec(t *testing.T) {
 				perUop := NewCore(cfg, sinkA)
 				region := NewCore(cfg, sinkB)
 
-				// Reference: one Exec per uop, registers pre-salted the
-				// way the interpreter's frame.slot does.
-				slot := func(r int32) int32 {
-					if r < 0 {
-						return -1
-					}
-					return int32((uint32(r) + salt) & (scoreboardSize - 1))
-				}
 				for i := range tmpl {
-					u := tmpl[i]
-					u.Dst, u.Src1, u.Src2, u.Src3 = slot(u.Dst), slot(u.Src1), slot(u.Src2), slot(u.Src3)
-					u.Addr, u.Taken, u.Target = dyn[i].Addr, dyn[i].Taken, dyn[i].Target
-					perUop.Exec(&u)
+					u := saltedUop(tmpl, dyn, i, salt)
+					perUop.refExec(&u)
 				}
 				perUop.FlushEvents()
 
-				// Same stream sliced into irregular regions.
-				sizes := []int{1, 7, 2, 31, 3, 64, 5, 17, 11, 1, 128, 23}
-				for i, s := 0, 0; i < len(tmpl); i, s = i+sizes[s%len(sizes)], s+1 {
-					end := i + sizes[s%len(sizes)]
-					if end > len(tmpl) {
-						end = len(tmpl)
-					}
+				forEachRegion(len(tmpl), func(i, end int) {
 					region.ExecRegion(tmpl[i:end], dyn[i:end], salt)
-				}
+				})
 				region.FlushEvents()
 
 				if perUop.Cycles() != region.Cycles() {
@@ -144,5 +159,78 @@ func TestRegionMatchesExec(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// batchLogSink records every delivered batch in order, watching every
+// time and count signal with a sampler reported armed, so the core must
+// flush after every uop.
+type batchLogSink struct {
+	log     []uint64 // signal<<56 | value per entry; 0 ends a batch
+	batches int
+}
+
+func (s *batchLogSink) Apply(b *DeltaBatch) {
+	for i := 0; i < b.N; i++ {
+		s.log = append(s.log, uint64(b.Sig[i])<<56|b.Val[i])
+	}
+	s.log = append(s.log, 0)
+	s.batches++
+}
+
+func (s *batchLogSink) WatchMask() uint64    { return timeSigMask | countSigMask }
+func (s *batchLogSink) SamplingActive() bool { return true }
+
+// TestPerUopBatchesMatchReference pins the delivery a sampler on an
+// event counter relies on: with a sampler armed and every time and
+// count signal watched, ExecRegion plus its per-uop FlushEvents must
+// hand the sink exactly the batch sequence the reference stepper
+// builds from each uop's own deltas — same batches, same signals in
+// the same order, same values — on both pipeline kinds, across timer
+// ticks and U/S/M privilege switches between regions.
+func TestPerUopBatchesMatchReference(t *testing.T) {
+	const salt = uint32(3 * 251)
+	tmpl, dyn := regionStream(50_000)
+	privs := []isa.PrivMode{isa.PrivU, isa.PrivS, isa.PrivU, isa.PrivM}
+	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
+		cfg.TimerIntervalCycles = 5_000
+		cfg.TimerHandlerCycles = 100
+		t.Run(cfg.Name, func(t *testing.T) {
+			var refSink, sink batchLogSink
+			ref := NewCore(cfg, &refSink)
+			core := NewCore(cfg, &sink)
+			n := 0
+			forEachRegion(len(tmpl), func(i, end int) {
+				p := privs[n%len(privs)]
+				n++
+				ref.SetPriv(p)
+				core.SetPriv(p)
+				for j := i; j < end; j++ {
+					u := saltedUop(tmpl, dyn, j, salt)
+					ref.refExec(&u)
+				}
+				ref.FlushEvents()
+				core.ExecRegion(tmpl[i:end], dyn[i:end], salt)
+				core.FlushEvents()
+			})
+			if ref.Stats().TimerTicks == 0 {
+				t.Fatal("stream produced no timer ticks")
+			}
+			if ref.Stats() != core.Stats() {
+				t.Errorf("stats diverge:\nreference: %+v\ncore:      %+v", ref.Stats(), core.Stats())
+			}
+			if refSink.batches != sink.batches || len(refSink.log) != len(sink.log) {
+				t.Errorf("reference delivered %d batches (%d entries), core %d (%d)",
+					refSink.batches, len(refSink.log), sink.batches, len(sink.log))
+			}
+			for i := 0; i < len(refSink.log) && i < len(sink.log); i++ {
+				if refSink.log[i] != sink.log[i] {
+					t.Fatalf("batch logs diverge at entry %d: reference %s=%d, core %s=%d", i,
+						isa.Signal(refSink.log[i]>>56), refSink.log[i]&(1<<56-1),
+						isa.Signal(sink.log[i]>>56), sink.log[i]&(1<<56-1))
+				}
+			}
+			t.Logf("%d batches, %d entries", sink.batches, len(sink.log))
+		})
 	}
 }

@@ -70,43 +70,50 @@ func defaultSetFromStats(after, before machine.Stats) map[string]uint64 {
 	}
 }
 
-// codegenModes runs a test under both interpreter loops.
-var codegenModes = []struct {
-	name string
-	opt  vm.CompileOption
+// perInstructionTriad holds what the removed per-instruction
+// interpreter loop read for triad on the X60 in the two tests below,
+// recorded while it and the region loop still agreed. The
+// per-instruction subtests pin the remaining loop to it.
+var perInstructionTriad = struct {
+	secondRun, trapped map[string]uint64
 }{
-	{"superblocks", vm.WithSuperblocks(true)},
-	{"per-instruction", vm.WithSuperblocks(false)},
+	secondRun: map[string]uint64{"cycles": 22536, "instructions": 20482, "branches": 2048,
+		"branch-misses": 1, "cache-references": 6144, "cache-misses": 0},
+	trapped: map[string]uint64{"cycles": 11441, "instructions": 4991, "branches": 499,
+		"branch-misses": 0, "cache-references": 1497, "cache-misses": 96},
 }
 
 // TestStatAfterEarlierRun pins the refresh of the core's cached watch
 // mask when a run starts: a Stat on a machine that already ran quietly
 // must count the second run, not read zero.
 func TestStatAfterEarlierRun(t *testing.T) {
-	for _, mode := range codegenModes {
-		t.Run(mode.name, func(t *testing.T) {
-			m, run := instantiate(t, "triad", platform.X60(), mode.opt)
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			tool, err := Attach(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := m.Hart().Core.Stats()
-			res, err := tool.Stat(defaultStatSet, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := defaultSetFromStats(m.Hart().Core.Stats(), before)
-			if want["cycles"] == 0 {
-				t.Fatal("second run charged no cycles")
-			}
-			if !reflect.DeepEqual(res.Values, want) {
-				t.Errorf("stat after an earlier run = %v, core charged %v", res.Values, want)
-			}
-		})
+	m, run := instantiate(t, "triad", platform.X60())
+	if err := run(); err != nil {
+		t.Fatal(err)
 	}
+	tool, err := Attach(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Hart().Core.Stats()
+	res, err := tool.Stat(defaultStatSet, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("superblocks", func(t *testing.T) {
+		want := defaultSetFromStats(m.Hart().Core.Stats(), before)
+		if want["cycles"] == 0 {
+			t.Fatal("second run charged no cycles")
+		}
+		if !reflect.DeepEqual(res.Values, want) {
+			t.Errorf("stat after an earlier run = %v, core charged %v", res.Values, want)
+		}
+	})
+	t.Run("per-instruction", func(t *testing.T) {
+		if want := perInstructionTriad.secondRun; !reflect.DeepEqual(res.Values, want) {
+			t.Errorf("stat after an earlier run = %v, per-instruction loop read %v", res.Values, want)
+		}
+	})
 }
 
 // TestStatTrappedRunMatchesStats pins the flush on trap: the partial
@@ -118,27 +125,32 @@ func TestStatTrappedRunMatchesStats(t *testing.T) {
 		"time":    {isa.EventCycles, isa.EventInstructions},
 		"default": defaultStatSet,
 	}
-	for _, mode := range codegenModes {
-		for setName, set := range sets {
-			t.Run(mode.name+"/"+setName, func(t *testing.T) {
-				m, run := instantiate(t, "triad", platform.X60(), mode.opt)
-				m.MaxSteps = 5000
-				tool, err := Attach(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := tool.Stat(set, run)
-				if err == nil {
-					t.Fatal("run within a 5000-step budget did not trap")
-				}
-				charged := defaultSetFromStats(m.Hart().Core.Stats(), machine.Stats{})
-				for label, got := range res.Values {
-					if got != charged[label] {
-						t.Errorf("trapped stat %s = %d, core charged %d", label, got, charged[label])
-					}
-				}
-			})
+	for setName, set := range sets {
+		m, run := instantiate(t, "triad", platform.X60())
+		m.MaxSteps = 5000
+		tool, err := Attach(m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := tool.Stat(set, run)
+		if err == nil {
+			t.Fatalf("%s: run within a 5000-step budget did not trap", setName)
+		}
+		t.Run("superblocks/"+setName, func(t *testing.T) {
+			charged := defaultSetFromStats(m.Hart().Core.Stats(), machine.Stats{})
+			for label, got := range res.Values {
+				if got != charged[label] {
+					t.Errorf("trapped stat %s = %d, core charged %d", label, got, charged[label])
+				}
+			}
+		})
+		t.Run("per-instruction/"+setName, func(t *testing.T) {
+			for label, got := range res.Values {
+				if want := perInstructionTriad.trapped[label]; got != want {
+					t.Errorf("trapped stat %s = %d, per-instruction loop read %d", label, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -26,11 +26,11 @@ import (
 
 // ArtifactVersion identifies the artifact payload layout. Bump on any
 // change to EncodeArtifact's byte format.
-const ArtifactVersion = 1
+const ArtifactVersion = 2
 
 // EncodeArtifact serializes the program's stable parts: the module,
-// the compile configuration (superblock flag and hot-function
-// restriction), and the data image when one was baked.
+// the compile configuration (the hot-function restriction), and the
+// data image when one was baked.
 func EncodeArtifact(p *Program) ([]byte, error) {
 	if p == nil || p.mod == nil {
 		return nil, fmt.Errorf("vm: cannot encode a nil program")
@@ -38,11 +38,6 @@ func EncodeArtifact(p *Program) ([]byte, error) {
 	modBytes := ir.EncodeModule(p.mod)
 	out := make([]byte, 0, len(modBytes)+len(p.image)+64)
 	out = append(out, ArtifactVersion)
-	if p.superblocks {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
 	// Hot-function restriction: 0 = unrestricted (nil set), 1 = the
 	// listed functions only (possibly none, meaning disabled).
 	if p.hotFuncs == nil {
@@ -102,11 +97,7 @@ func DecodeArtifact(data []byte) (*Program, error) {
 	if ver != ArtifactVersion {
 		return nil, fmt.Errorf("vm: artifact version %d, want %d", ver, ArtifactVersion)
 	}
-	sbByte, err := u8("superblock flag")
-	if err != nil {
-		return nil, err
-	}
-	cfg := compileConfig{superblocks: sbByte != 0}
+	var cfg compileConfig
 	hotByte, err := u8("hot-func flag")
 	if err != nil {
 		return nil, err

@@ -42,52 +42,54 @@ func runSumProg(t *testing.T, prog *Program, n int) archResult {
 	return archResult{bits: bits, cycles: st.Cycles, instret: st.Instret}
 }
 
+// perInstructionSum is the outcome the removed per-instruction
+// interpreter loop produced for the 512-element sum program on the X60,
+// recorded while it and the region loop still agreed.
+var perInstructionSum = archResult{bits: 0x43bfa000, cycles: 8743, instret: 3074}
+
 // TestArtifactRoundTrip pins that a program decoded from its artifact
 // behaves architecturally identically to the original — same result
 // bits, same cycle and instruction counts — with the baked data image
-// intact, in both codegen modes.
+// intact and a byte-stable encoding. The per-instruction subtest pins
+// the decoded program to the recorded outcome of the per-instruction
+// loop.
 func TestArtifactRoundTrip(t *testing.T) {
 	const n = 512
-	for _, sb := range []bool{true, false} {
-		name := "superblocks"
-		if !sb {
-			name = "per-instruction"
-		}
-		t.Run(name, func(t *testing.T) {
-			prog := compileSum(t, n, WithSuperblocks(sb))
-			want := runSumProg(t, prog, n)
-
-			data, err := EncodeArtifact(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := DecodeArtifact(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Superblocks() != sb {
-				t.Fatalf("decoded superblocks = %v, want %v", loaded.Superblocks(), sb)
-			}
-			if loaded.DataSize() != prog.DataSize() {
-				t.Fatalf("data size changed: %d != %d", loaded.DataSize(), prog.DataSize())
-			}
-			got := runSumProg(t, loaded, n)
-			if got != want {
-				t.Fatalf("decoded program diverges: got %+v, want %+v", got, want)
-			}
-
-			// The artifact encoding itself must be stable: re-encoding
-			// the decoded program reproduces the identical bytes (the
-			// content-addressed store relies on this).
-			data2, err := EncodeArtifact(loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(data2) != string(data) {
-				t.Fatal("artifact encoding is not stable across a round trip")
-			}
-		})
+	prog := compileSum(t, n)
+	want := runSumProg(t, prog, n)
+	data, err := EncodeArtifact(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
+	loaded, err := DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runSumProg(t, loaded, n)
+
+	t.Run("superblocks", func(t *testing.T) {
+		if loaded.DataSize() != prog.DataSize() {
+			t.Fatalf("data size changed: %d != %d", loaded.DataSize(), prog.DataSize())
+		}
+		if got != want {
+			t.Fatalf("decoded program diverges: got %+v, want %+v", got, want)
+		}
+		// The artifact encoding itself must be stable: re-encoding the
+		// decoded program reproduces the identical bytes (the
+		// content-addressed store relies on this).
+		data2, err := EncodeArtifact(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data2) != string(data) {
+			t.Fatal("artifact encoding is not stable across a round trip")
+		}
+	})
+	t.Run("per-instruction", func(t *testing.T) {
+		if got != perInstructionSum {
+			t.Fatalf("decoded program = %+v, per-instruction loop produced %+v", got, perInstructionSum)
+		}
+	})
 }
 
 // TestArtifactHotFuncsRoundTrip pins that the hot-function restriction
@@ -152,6 +154,20 @@ func TestArtifactDecodeRejects(t *testing.T) {
 	if _, err := DecodeArtifact(append(append([]byte(nil), data...), 0xAA)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+
+	// A version-1 payload carries a superblock flag byte after the
+	// version; it must be rejected by version, not misparsed.
+	v1 := append([]byte{1, 1}, data[1:]...)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("decode of a version-1 payload panicked: %v", r)
+			}
+		}()
+		if _, err := DecodeArtifact(v1); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-1 payload: want version error, got %v", err)
+		}
+	}()
 
 	for _, cut := range []int{0, 1, 2, 3, len(data) / 2, len(data) - 1} {
 		func() {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mperf/internal/ir"
-	"mperf/internal/machine"
 )
 
 // This file builds the threaded-dispatch executors: at plan time every
@@ -137,13 +136,13 @@ func buildIntBinary(in *ir.Instr) execFn {
 			for l := range out {
 				out[l] = f(va[l], vb[l])
 			}
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			return nil
 		}
 	}
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		fr.regs[st.dst] = f(m.scalar(fr, &st.args[0]), m.scalar(fr, &st.args[1]))
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -222,13 +221,13 @@ func buildFPBinary(in *ir.Instr) execFn {
 			for l := range out {
 				out[l] = f(va[l], vb[l])
 			}
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			return nil
 		}
 	}
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		fr.regs[st.dst] = f(m.scalar(fr, &st.args[0]), m.scalar(fr, &st.args[1]))
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -246,14 +245,14 @@ func buildFMA(in *ir.Instr) execFn {
 			for l := range out {
 				out[l] = f(va[l], vb[l], vc[l])
 			}
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			return nil
 		}
 	}
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		fr.regs[st.dst] = f(m.scalar(fr, &st.args[0]), m.scalar(fr, &st.args[1]),
 			m.scalar(fr, &st.args[2]))
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -287,7 +286,7 @@ func buildICmp(in *ir.Instr) execFn {
 			r = 1
 		}
 		fr.regs[st.dst] = r
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -318,7 +317,7 @@ func buildFCmp(in *ir.Instr) execFn {
 		} else {
 			fr.regs[st.dst] = 0
 		}
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -348,7 +347,7 @@ func buildConvert(in *ir.Instr) execFn {
 	}
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		fr.regs[st.dst] = conv(m.scalar(fr, &st.args[0]))
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -360,14 +359,14 @@ func execSplat(m *Machine, fr *frame, st *step) *blockPlan {
 	for l := range out {
 		out[l] = s
 	}
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
 func execExtract(m *Machine, fr *frame, st *step) *blockPlan {
 	vec := m.vector(fr, &st.args[0])
 	fr.regs[st.dst] = vec[st.in.Lane]
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
@@ -380,7 +379,7 @@ func buildReduce(in *ir.Instr) execFn {
 				sum += bitsToFloat(elem, b)
 			}
 			fr.regs[st.dst] = floatBits(elem, sum)
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			return nil
 		}
 	}
@@ -391,7 +390,7 @@ func buildReduce(in *ir.Instr) execFn {
 			sum += b
 		}
 		fr.regs[st.dst] = sum & mask
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		return nil
 	}
 }
@@ -405,7 +404,7 @@ func execAlloca(m *Machine, fr *frame, st *step) *blockPlan {
 		trapf("stack overflow in @%s", fr.fp.fn.FName)
 	}
 	fr.regs[st.dst] = addr
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
@@ -415,7 +414,7 @@ func buildLoad(in *ir.Instr) execFn {
 		return func(m *Machine, fr *frame, st *step) *blockPlan {
 			addr := uint64(int64(m.scalar(fr, &st.args[0])) + st.in.Scale)
 			fr.regs[st.dst] = m.loadScalar(addr, ty)
-			m.emit(fr, st, addr, false, 0)
+			m.emit(addr, false, 0)
 			return nil
 		}
 	}
@@ -429,7 +428,7 @@ func buildLoad(in *ir.Instr) execFn {
 		for l := range out {
 			out[l] = m.loadScalar(addr+uint64(l)*es, elem)
 		}
-		m.emit(fr, st, addr, false, 0)
+		m.emit(addr, false, 0)
 		return nil
 	}
 }
@@ -440,7 +439,7 @@ func buildStore(in *ir.Instr) execFn {
 		return func(m *Machine, fr *frame, st *step) *blockPlan {
 			addr := uint64(int64(m.scalar(fr, &st.args[1])) + st.in.Scale)
 			m.storeScalar(addr, ty, m.scalar(fr, &st.args[0]))
-			m.emit(fr, st, addr, false, 0)
+			m.emit(addr, false, 0)
 			return nil
 		}
 	}
@@ -454,7 +453,7 @@ func buildStore(in *ir.Instr) execFn {
 		for l, b := range vec {
 			m.storeScalar(addr+uint64(l)*es, elem, b)
 		}
-		m.emit(fr, st, addr, false, 0)
+		m.emit(addr, false, 0)
 		return nil
 	}
 }
@@ -463,7 +462,7 @@ func execGEP(m *Machine, fr *frame, st *step) *blockPlan {
 	base := m.scalar(fr, &st.args[0])
 	idx := int64(m.scalar(fr, &st.args[1]))
 	fr.regs[st.dst] = uint64(int64(base) + idx*st.in.Scale)
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
@@ -473,7 +472,7 @@ func execSelectScalar(m *Machine, fr *frame, st *step) *blockPlan {
 		pick = 1
 	}
 	fr.regs[st.dst] = m.scalar(fr, &st.args[pick])
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
@@ -486,25 +485,18 @@ func execSelectVec(m *Machine, fr *frame, st *step) *blockPlan {
 	// reused in place, so aliasing two registers would corrupt one.
 	src := m.vector(fr, &st.args[pick])
 	copy(fr.vregDst(st.dst, len(src)), src)
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	return nil
 }
 
 func execCall(m *Machine, fr *frame, st *step) *blockPlan {
-	m.emit(fr, st, 0, false, 0)
-	// On the fused path, charge the pending region prefix (including
-	// this call uop) before the callee runs, so callee-side charges and
-	// clock reads interleave with the caller's exactly as on the
-	// per-instruction path. The region cursor is saved around the call
-	// because the callee reuses the pending buffers.
-	var savedTmpl []machine.Uop
-	var savedFrom int
-	var savedSalt uint32
-	wasDeferring := m.deferring
-	if wasDeferring {
-		m.flushPending()
-		savedTmpl, savedFrom, savedSalt = m.pendTmpl, m.pendFrom, m.pendSalt
-	}
+	m.emit(0, false, 0)
+	// Charge the pending region prefix (including this call uop) before
+	// the callee runs, so callee-side charges and clock reads follow the
+	// caller's in program order. The region cursor is saved around the
+	// call because the callee reuses the pending buffers.
+	m.flushPending()
+	savedTmpl, savedFrom, savedSalt := m.pendTmpl, m.pendFrom, m.pendSalt
 	// The scratch buffer is safe to reuse across nested calls: the
 	// callee copies the arguments into its own register file before
 	// executing any instruction.
@@ -518,10 +510,8 @@ func execCall(m *Machine, fr *frame, st *step) *blockPlan {
 		cargs[j] = m.scalar(fr, &st.args[j])
 	}
 	res, vres := m.call(st.callee, cargs)
-	if wasDeferring {
-		m.pendTmpl, m.pendFrom, m.pendSalt = savedTmpl, savedFrom, savedSalt
-		m.pendN = 0
-	}
+	m.pendTmpl, m.pendFrom, m.pendSalt = savedTmpl, savedFrom, savedSalt
+	m.pendN = 0
 	if st.dst >= 0 {
 		if st.in.Ty.IsVector() {
 			copy(fr.vregDst(st.dst, len(vres)), vres)
@@ -538,27 +528,27 @@ func execCall(m *Machine, fr *frame, st *step) *blockPlan {
 func buildRet(in *ir.Instr) execFn {
 	if len(in.Args) == 0 {
 		return func(m *Machine, fr *frame, st *step) *blockPlan {
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			fr.retVal, fr.retVec = 0, nil
 			return retMarker
 		}
 	}
 	if in.Args[0].Type().IsVector() {
 		return func(m *Machine, fr *frame, st *step) *blockPlan {
-			m.emit(fr, st, 0, false, 0)
+			m.emit(0, false, 0)
 			fr.retVal, fr.retVec = 0, m.vector(fr, &st.args[0])
 			return retMarker
 		}
 	}
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
-		m.emit(fr, st, 0, false, 0)
+		m.emit(0, false, 0)
 		fr.retVal, fr.retVec = m.scalar(fr, &st.args[0]), nil
 		return retMarker
 	}
 }
 
 func execBr(m *Machine, fr *frame, st *step) *blockPlan {
-	m.emit(fr, st, 0, false, 0)
+	m.emit(0, false, 0)
 	next := st.targets[0]
 	m.phiMoves(fr, next, st.blockIdx)
 	return next
@@ -566,7 +556,7 @@ func execBr(m *Machine, fr *frame, st *step) *blockPlan {
 
 func execCondBr(m *Machine, fr *frame, st *step) *blockPlan {
 	cond := m.scalar(fr, &st.args[0]) != 0
-	m.emit(fr, st, 0, cond, 0)
+	m.emit(0, cond, 0)
 	var next *blockPlan
 	if cond {
 		next = st.targets[0]
@@ -586,7 +576,7 @@ func execSwitch(m *Machine, fr *frame, st *step) *blockPlan {
 			break
 		}
 	}
-	m.emit(fr, st, 0, false, next.pc)
+	m.emit(0, false, next.pc)
 	m.phiMoves(fr, next, st.blockIdx)
 	return next
 }

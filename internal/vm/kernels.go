@@ -18,12 +18,13 @@ import (
 // The vocabulary covers the matmul k-loops (scalar and vectorized),
 // the streaming triad/memset loops, and anything else of that shape.
 //
-// A kernel is an optimization of the generic fused executor only: it
+// A kernel is an optimization of the generic region executor only: it
 // performs exactly the same semantic effects in the same order (body,
 // then the back-edge phi parallel copy) and charges exactly the same
 // region template per iteration, so profiles are bit-identical — the
-// differential invariance test covers catalog workloads whose hot
-// loops run through these kernels. Any block that steps outside the
+// catalog digest test covers workloads whose hot loops run through
+// these kernels. Sampling activations never enter a kernel: they flush
+// events at every block edge, which a native loop would skip. Any block that steps outside the
 // vocabulary simply never gets a kernel and runs generically.
 
 // kOp kinds. Each recipe op corresponds 1:1 to a block step (and so to
@@ -55,8 +56,8 @@ type kOp struct {
 	aImm    uint64
 	bImm    uint64
 	cImm    uint64
-	off     int64 // load/store byte offset (in.Scale)
-	scale   int64 // gep element size (in.Scale)
+	off     int64    // load/store byte offset (in.Scale)
+	scale   int64    // gep element size (in.Scale)
 	cnt     [4]int64 // mperf.count constant block costs
 	elem    ir.Type
 	elemSz  uint64
@@ -371,7 +372,6 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 			m.steps += nsteps
 			if m.steps > m.MaxSteps {
 				m.kernelIters += iters
-				m.fusedSteps += nsteps * iters
 				trapf("step budget exceeded (%d)", m.MaxSteps)
 			}
 			taken := false
@@ -454,7 +454,6 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 		}
 		m.kernelHits++
 		m.kernelIters += iters
-		m.fusedSteps += nsteps * iters
 		m.phiMoves(fr, rec.exit, rec.predIdx)
 		return rec.exit
 	}

@@ -69,41 +69,33 @@ func runFMASum(t *testing.T, n int, opts ...CompileOption) (float32, *ExecStats)
 }
 
 // TestWithHotFuncsGatesKernels pins the profile-guided re-planning
-// hook: kernel specialization engages for every function by default,
-// only for the named functions under WithHotFuncs, and never with
-// superblocks off — with identical results in all cases. Superblocks
-// are requested explicitly so the test holds whatever the environment
-// default is.
+// hook: kernel specialization engages for every function by default and
+// only for the named functions under WithHotFuncs — with identical
+// results in all cases.
 func TestWithHotFuncsGatesKernels(t *testing.T) {
 	const n = 512
-	on := WithSuperblocks(true)
-	def, defSt := runFMASum(t, n, on)
+	def, defSt := runFMASum(t, n)
 	if defSt.KernelHits.Load() == 0 || defSt.KernelIters.Load() != n {
 		t.Errorf("default compile: kernel hits=%d iters=%d, want engaged with %d iters",
 			defSt.KernelHits.Load(), defSt.KernelIters.Load(), n)
 	}
 
-	hot, hotSt := runFMASum(t, n, on, WithHotFuncs("sum"))
+	hot, hotSt := runFMASum(t, n, WithHotFuncs("sum"))
 	if hotSt.KernelHits.Load() == 0 {
 		t.Error("WithHotFuncs(sum): kernel did not engage for the named function")
 	}
 
-	cold, coldSt := runFMASum(t, n, on, WithHotFuncs("unrelated"))
+	cold, coldSt := runFMASum(t, n, WithHotFuncs("unrelated"))
 	if coldSt.KernelHits.Load() != 0 {
 		t.Errorf("WithHotFuncs(unrelated): kernel engaged %d times for an unlisted function",
 			coldSt.KernelHits.Load())
 	}
-	if coldSt.FusedSteps.Load() == 0 {
-		t.Error("WithHotFuncs must not disable superblock fusion itself")
+	if coldSt.TotalSteps.Load() != defSt.TotalSteps.Load() {
+		t.Errorf("WithHotFuncs(unrelated) ran %d steps, default %d",
+			coldSt.TotalSteps.Load(), defSt.TotalSteps.Load())
 	}
 
-	off, offSt := runFMASum(t, n, WithSuperblocks(false))
-	if offSt.FusedSteps.Load() != 0 || offSt.KernelHits.Load() != 0 {
-		t.Errorf("WithSuperblocks(false): fused=%d kernels=%d, want per-instruction execution",
-			offSt.FusedSteps.Load(), offSt.KernelHits.Load())
-	}
-
-	for name, got := range map[string]float32{"hot": hot, "cold": cold, "off": off} {
+	for name, got := range map[string]float32{"hot": hot, "cold": cold} {
 		if got != def {
 			t.Errorf("%s compile result %f != default %f", name, got, def)
 		}

@@ -48,10 +48,6 @@ type Program struct {
 	// indistinguishable from a fresh allocation.
 	memPool sync.Pool
 
-	// superblocks records whether the plans carry fused regions;
-	// machines of this program dispatch region-at-a-time when set.
-	superblocks bool
-
 	// hotFuncs records the compile's hot-function restriction in
 	// canonical sorted order (nil = unrestricted), so the artifact
 	// encoder can serialize the exact configuration for re-planning.
@@ -60,11 +56,10 @@ type Program struct {
 
 // Compile verifies, freezes and plans a module into an immutable
 // Program. The module must not be mutated afterwards (ir.Freeze makes
-// the construction APIs enforce this). With no options, superblock
-// fusion follows the MPERF_NO_SUPERBLOCK environment default; see
-// WithSuperblocks and WithHotFuncs.
+// the construction APIs enforce this). See WithHotFuncs for the one
+// option.
 func Compile(mod *ir.Module, opts ...CompileOption) (*Program, error) {
-	cfg := compileConfig{superblocks: SuperblocksEnabled()}
+	var cfg compileConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -84,11 +79,10 @@ func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, er
 	}
 	mod.Freeze()
 	p := &Program{
-		mod:         mod,
-		globalAddr:  make(map[string]uint64),
-		plans:       make(map[*ir.Func]*funcPlan),
-		superblocks: cfg.superblocks,
-		hotFuncs:    sortedHotFuncs(&cfg),
+		mod:        mod,
+		globalAddr: make(map[string]uint64),
+		plans:      make(map[*ir.Func]*funcPlan),
+		hotFuncs:   sortedHotFuncs(&cfg),
 	}
 
 	// Lay out globals then the alloca stack.
@@ -120,10 +114,6 @@ func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, er
 
 // Module returns the frozen module the program was compiled from.
 func (p *Program) Module() *ir.Module { return p.mod }
-
-// Superblocks reports whether this program was compiled with
-// superblock fusion (its machines execute region-at-a-time).
-func (p *Program) Superblocks() bool { return p.superblocks }
 
 // GlobalAddr returns the load address of a global; the layout is a
 // program-level constant shared by every machine.
@@ -168,7 +158,6 @@ func NewMachine(p *Program, plat *platform.Platform) *Machine {
 		vlenBytes: plat.Core.VectorLanes32 * 4,
 	}
 	m.kern = kernel.New(m.hart.Firmware, m)
-	m.fused = p.superblocks
 
 	memRef := p.memPool.Get().(*[]byte)
 	m.memRef = memRef

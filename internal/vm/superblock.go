@@ -1,65 +1,36 @@
 package vm
 
 import (
-	"os"
 	"sync/atomic"
 
 	"mperf/internal/ir"
 	"mperf/internal/machine"
 )
 
-// This file implements superblock execution: straight-line regions —
-// basic blocks and single-predecessor chains of unconditionally linked
-// blocks — are fused at plan time into immutable charge templates, and
-// the dispatch loop charges each region through one
-// machine.Core.ExecRegion call instead of one Core.Exec call per
-// instruction. Instruction semantics still run through the pre-bound
-// step executors; emit records each uop's dynamic operands (address,
-// branch outcome, indirect target) into a pending buffer that is
-// flushed at region exits, before calls and intrinsics (whose runtimes
-// read the cycle clock), at returns, and on traps — so the charge
-// sequence seen by the core is exactly the per-instruction sequence.
+// This file implements superblock execution, the interpreter's only
+// activation loop: straight-line regions — basic blocks and
+// single-predecessor chains of unconditionally linked blocks — are
+// fused at plan time into immutable charge templates, and the dispatch
+// loop charges each region through one machine.Core.ExecRegion call.
+// Instruction semantics run through the pre-bound step executors; emit
+// records each uop's dynamic operands (address, branch outcome,
+// indirect target) into a pending buffer that is flushed at region
+// exits, before calls and intrinsics (whose runtimes read the cycle
+// clock), at returns, and on traps — so the core sees the uops in
+// program order.
 //
-// While an overflow sampler is armed, block-granular event delivery is
-// preserved (samples attribute to block PCs), so profiles are
-// bit-identical to the per-instruction path in every collector mode;
-// TestSuperblockInvariance pins this across the workload catalog.
+// While an overflow sampler is armed, the loop also flushes at every
+// block edge and moves the core's PC there, so samples attribute to
+// block PCs; TestSuperblockInvariance pins the catalog's profiles to
+// recorded digests.
 
-// codegenVersion identifies the VM's plan/execution scheme. It is part
-// of CodegenTag, which callers caching compiled Programs must fold
-// into their cache keys so artifacts are never reused across codegen
-// changes.
-const codegenVersion = 2
-
-// noSuperblockEnv is the escape hatch: setting it (to any non-empty
-// value) makes Compile default to the per-instruction path, keeping it
-// alive for differential testing.
-const noSuperblockEnv = "MPERF_NO_SUPERBLOCK"
-
-// SuperblocksEnabled reports the compile-time default for superblock
-// execution: on, unless the MPERF_NO_SUPERBLOCK environment variable
-// is set.
-func SuperblocksEnabled() bool {
-	return os.Getenv(noSuperblockEnv) == ""
-}
-
-// CodegenTag returns the cache-key component describing the VM
-// codegen that Compile would use right now (version plus the
-// superblock default). Program caches must include it in their keys.
-func CodegenTag() string {
-	return codegenTag(SuperblocksEnabled())
-}
-
-func codegenTag(superblocks bool) string {
-	if superblocks {
-		return "cg2+sb"
-	}
-	return "cg2"
-}
+// CodegenTag returns the cache-key component describing the VM's
+// plan/execution scheme. Program caches must include it in their keys
+// so artifacts are never reused across codegen changes.
+func CodegenTag() string { return "cg3" }
 
 // compileConfig collects Compile's functional options.
 type compileConfig struct {
-	superblocks bool
 	// hotFuncs, when non-nil, restricts specialized loop-kernel
 	// matching to the named functions (the profile-guided re-planning
 	// hook); nil means every function is a candidate.
@@ -68,13 +39,6 @@ type compileConfig struct {
 
 // CompileOption configures Compile.
 type CompileOption func(*compileConfig)
-
-// WithSuperblocks overrides the environment-driven superblock default
-// for one compile, keeping both codegen paths reachable in-process for
-// differential tests.
-func WithSuperblocks(on bool) CompileOption {
-	return func(c *compileConfig) { c.superblocks = on }
-}
 
 // WithHotFuncs restricts specialized loop-kernel matching to the named
 // functions. It is the profile-guided re-planning hook: a caller that
@@ -92,18 +56,14 @@ func WithHotFuncs(names ...string) CompileOption {
 	}
 }
 
-// ExecStats aggregates superblock coverage counters across machines —
-// how much of the executed instruction stream ran fused and how often
-// specialized loop kernels hit. Machines flush into it on Release (and
-// on FlushExecStats); it is safe for concurrent use. Coverage is
-// deliberately kept out of Profile output so fused and per-instruction
-// runs stay bit-identical.
+// ExecStats aggregates execution coverage counters across machines —
+// how many instructions ran and how often specialized loop kernels
+// hit. Machines flush into it on Release (and on FlushExecStats); it is
+// safe for concurrent use. Coverage is deliberately kept out of Profile
+// output so profiles do not depend on cache state or kernel matching.
 type ExecStats struct {
 	// TotalSteps counts interpreted IR instructions.
 	TotalSteps atomic.Uint64
-	// FusedSteps counts instructions executed through superblock
-	// regions (charge batched via ExecRegion).
-	FusedSteps atomic.Uint64
 	// KernelHits counts entries into specialized loop kernels.
 	KernelHits atomic.Uint64
 	// KernelIters counts loop iterations executed by specialized
@@ -122,11 +82,10 @@ func (m *Machine) FlushExecStats() {
 		return
 	}
 	m.execStats.TotalSteps.Add(m.steps - m.statBase)
-	m.execStats.FusedSteps.Add(m.fusedSteps)
 	m.execStats.KernelHits.Add(m.kernelHits)
 	m.execStats.KernelIters.Add(m.kernelIters)
 	m.statBase = m.steps
-	m.fusedSteps, m.kernelHits, m.kernelIters = 0, 0, 0
+	m.kernelHits, m.kernelIters = 0, 0
 }
 
 // buildRegions fuses a planned function's blocks into superblocks:
@@ -204,10 +163,9 @@ func chainContains(chain []*blockPlan, bp *blockPlan) bool {
 // flushPending charges the deferred uops of the current region through
 // the core in one call and advances the flush cursor. It is called at
 // region exits, before calls (so callee-side clock reads and charges
-// interleave exactly like the per-instruction path), per block while
-// sampling, and from Run's trap recovery (the pending prefix is
-// exactly the set the per-instruction path would have charged before
-// the trap).
+// follow the caller's in program order), per block while sampling, and
+// from Run's trap recovery (the pending prefix is exactly the uops that
+// completed before the trap).
 func (m *Machine) flushPending() {
 	if m.pendN == 0 {
 		return
@@ -217,15 +175,16 @@ func (m *Machine) flushPending() {
 	m.pendFrom, m.pendN = n, 0
 }
 
-// callFused is the superblock counterpart of Machine.call: one
-// activation executed region-at-a-time, with charges deferred into the
-// pending buffers and batched through one ExecRegion call per region.
-// It is only entered while no overflow sampler is armed (call routes
-// sampling activations through the per-instruction loop), so block-edge
-// event flushes may be coalesced to region granularity: without an
-// armed sampler, event delivery is pure accumulation and the coalesced
-// totals are bit-identical. Per-block step budgeting is preserved
-// exactly.
+// callFused executes one activation region-at-a-time, with charges
+// deferred into the pending buffers and batched through one ExecRegion
+// call per region. Without an armed sampler, event delivery is pure
+// accumulation, so events are flushed only when control leaves the
+// frame. With one (the state only changes between runs, so it is read
+// once per activation), every block edge flushes the pending charges
+// and the events and moves the core's PC, and specialized loop kernels
+// are skipped: a sample must attribute the cycles before the edge to
+// the block that spent them. Per-block step budgeting is the same
+// either way.
 func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	if len(m.frames) >= maxCallDepth {
 		trapf("call depth exceeded in @%s", fp.fn.FName)
@@ -250,12 +209,11 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	m.frames = append(m.frames, fr)
 
 	core := m.hart.Core
-	savedDeferring := m.deferring
-	m.deferring = true
+	sampling := core.SamplingActive()
 
 	bp := fp.entry
 	for {
-		if kern := bp.kernel; kern != nil {
+		if kern := bp.kernel; kern != nil && !sampling {
 			if next := kern(m, fr, bp); next != nil {
 				if next == retMarker {
 					break
@@ -280,7 +238,14 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 			if m.steps > m.MaxSteps {
 				trapf("step budget exceeded (%d)", m.MaxSteps)
 			}
-			m.fusedSteps += uint64(len(cb.steps))
+			if sampling {
+				// Flush BEFORE moving the PC: samples fired by the flush
+				// must attribute the previous block's cycles to the
+				// block (and frame) that accumulated them.
+				m.flushPending()
+				core.FlushEvents()
+				core.SetPC(cb.pc)
+			}
 			fr.curPC = cb.pc
 
 			steps := cb.steps
@@ -308,7 +273,6 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	// Deliver batched deltas before control leaves the frame, so
 	// callers (and post-run counter reads) see settled values.
 	core.FlushEvents()
-	m.deferring = savedDeferring
 	m.frames = m.frames[:len(m.frames)-1]
 	m.stackTop = fr.stackSave
 	m.framePools[fp.index] = append(m.framePools[fp.index], fr)

@@ -35,31 +35,39 @@ func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
 }
 
 // TestArtifactInvariance is the differential acceptance check of the
-// artifact store: for every workload in the catalog, in both codegen
-// modes, a profile produced from a disk-loaded program (serialize →
-// deserialize → re-plan) is bit-identical to one produced by a cold
-// in-process compile — across counting (stat), overflow sampling
-// (record), roofline and topdown collection.
+// artifact store: for every workload in the catalog, a profile produced
+// from a disk-loaded program (serialize → deserialize → re-plan) is
+// bit-identical to one produced by a cold in-process compile — across
+// counting (stat), overflow sampling (record), roofline and topdown
+// collection. The per-instruction subtests also pin the disk-loaded
+// profile to the digest recorded from the per-instruction loop (see
+// TestSuperblockInvariance).
 func TestArtifactInvariance(t *testing.T) {
-	for _, mode := range []struct{ name, env string }{
-		{"superblocks", ""},
-		{"per-instruction", "1"},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, name := range workloads.Names() {
-				t.Run(name, func(t *testing.T) {
-					t.Setenv("MPERF_NO_SUPERBLOCK", mode.env)
-					dir := t.TempDir()
-					cold := catalogDiskProfileJSON(t, name, dir) // compiles, persists
-					warm := catalogDiskProfileJSON(t, name, dir) // fresh cache: loads from disk
-					if string(cold) != string(warm) {
-						t.Errorf("profile from disk-loaded program diverges from cold compile\ncold: %s\nwarm: %s",
-							cold, warm)
-					}
-				})
-			}
-		})
-	}
+	digests := catalogDigests(t)
+	warm := map[string][]byte{}
+	t.Run("superblocks", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				cold := catalogDiskProfileJSON(t, name, dir)      // compiles, persists
+				warm[name] = catalogDiskProfileJSON(t, name, dir) // fresh cache: loads from disk
+				if string(cold) != string(warm[name]) {
+					t.Errorf("profile from disk-loaded program diverges from cold compile\ncold: %s\nwarm: %s",
+						cold, warm[name])
+				}
+			})
+		}
+	})
+	t.Run("per-instruction", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				if warm[name] == nil {
+					t.Fatal("no disk-loaded profile: the superblocks subtest did not record one")
+				}
+				checkDigest(t, digests, "x60", name, warm[name])
+			})
+		}
+	})
 }
 
 // TestArtifactWarmStartCompilesNothing pins the warm-start acceptance

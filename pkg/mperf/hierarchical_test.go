@@ -54,31 +54,39 @@ func hierProfileJSON(t *testing.T, name string, hier bool) []byte {
 
 // TestHierarchicalRooflineInvariance is the differential acceptance
 // check of the hierarchical roofline: for every workload in the
-// catalog, in both codegen modes, a profile collected with per-level
-// attribution on must be byte-identical to the legacy profile once the
-// purely-additive hierarchical key is stripped — across counting,
-// overflow sampling, roofline and topdown collection. This is what
-// licenses the traffic probe and byte counters to live on the hot
-// path: they are observation, never perturbation.
+// catalog, a profile collected with per-level attribution on must be
+// byte-identical to the legacy profile once the purely-additive
+// hierarchical key is stripped — across counting, overflow sampling,
+// roofline and topdown collection. This is what licenses the traffic
+// probe and byte counters to live on the hot path: they are
+// observation, never perturbation. The per-instruction subtests also
+// pin the stripped profile to the digest recorded from the
+// per-instruction loop (see TestSuperblockInvariance).
 func TestHierarchicalRooflineInvariance(t *testing.T) {
-	for _, mode := range []struct{ name, env string }{
-		{"superblocks", ""},
-		{"per-instruction", "1"},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, name := range workloads.Names() {
-				t.Run(name, func(t *testing.T) {
-					t.Setenv("MPERF_NO_SUPERBLOCK", mode.env)
-					legacy := hierProfileJSON(t, name, false)
-					stripped := hierProfileJSON(t, name, true)
-					if string(legacy) != string(stripped) {
-						t.Errorf("legacy profile diverges when hierarchical collection is armed\noff: %s\non:  %s",
-							legacy, stripped)
-					}
-				})
-			}
-		})
-	}
+	digests := catalogDigests(t)
+	stripped := map[string][]byte{}
+	t.Run("superblocks", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				legacy := hierProfileJSON(t, name, false)
+				stripped[name] = hierProfileJSON(t, name, true)
+				if string(legacy) != string(stripped[name]) {
+					t.Errorf("legacy profile diverges when hierarchical collection is armed\noff: %s\non:  %s",
+						legacy, stripped[name])
+				}
+			})
+		}
+	})
+	t.Run("per-instruction", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				if stripped[name] == nil {
+					t.Fatal("no hierarchical profile: the superblocks subtest did not record one")
+				}
+				checkDigest(t, digests, "x60", name, stripped[name])
+			})
+		}
+	})
 }
 
 // memboundGolden pins each memory-bound suite member's profile shape:

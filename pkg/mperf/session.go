@@ -154,12 +154,12 @@ func WithHierarchicalRoofline() Option {
 	return func(c *config) { c.hierRoof = true }
 }
 
-// ExecStats aliases the VM's superblock coverage accumulator so
+// ExecStats aliases the VM's execution coverage accumulator so
 // callers (miniperf -vm-stats) need not import internal packages.
 type ExecStats = vm.ExecStats
 
 // WithExecStats installs a VM coverage accumulator on every machine
-// the session instantiates: superblock/kernel execution counters flush
+// the session instantiates: step and loop-kernel counters flush
 // into it when collectors release their machines. The counters are
 // diagnostic only (miniperf -vm-stats) and never enter a Profile, so
 // profiles stay identical with and without an accumulator installed.

@@ -1,7 +1,12 @@
 package mperf_test
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,10 +14,18 @@ import (
 	"mperf/pkg/mperf"
 )
 
-// catalogSession opens a session for one catalog workload with small,
-// fully pinned parameters plus a sampling frequency high enough that
-// the record collector fires plenty of overflow samples.
+// catalogSession opens a session for one catalog workload on the X60
+// (see catalogSessionOn).
 func catalogSession(t *testing.T, name string, opts ...mperf.Option) *mperf.Session {
+	t.Helper()
+	return catalogSessionOn(t, "x60", name, opts...)
+}
+
+// catalogSessionOn opens a session for one catalog workload on a
+// platform with small, fully pinned parameters plus a sampling
+// frequency high enough that the record collector fires plenty of
+// overflow samples.
+func catalogSessionOn(t *testing.T, plat, name string, opts ...mperf.Option) *mperf.Session {
 	t.Helper()
 	opts = append([]mperf.Option{
 		mperf.WithElems(4096), mperf.WithMemsetWords(4096),
@@ -22,7 +35,7 @@ func catalogSession(t *testing.T, name string, opts ...mperf.Option) *mperf.Sess
 		}),
 		mperf.WithSampleFreq(40_000),
 	}, opts...)
-	sess, err := mperf.Open("x60", name, opts...)
+	sess, err := mperf.Open(plat, name, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -32,69 +45,111 @@ func catalogSession(t *testing.T, name string, opts ...mperf.Option) *mperf.Sess
 // catalogProfileJSON runs every collector mode over one workload and
 // returns the canonical Profile JSON, with the compile accounting
 // (which legitimately differs between cold and warm caches) stripped.
-func catalogProfileJSON(t *testing.T, name string) []byte {
+// Collector errors stay in the JSON (its errors list), so the digests
+// pin them too.
+func catalogProfileJSON(t *testing.T, plat, name string) []byte {
 	t.Helper()
-	sess := catalogSession(t, name, mperf.WithProgramCache(mperf.NewProgramCache()))
+	sess := catalogSessionOn(t, plat, name, mperf.WithProgramCache(mperf.NewProgramCache()))
 	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
 	if err != nil {
-		t.Fatalf("%s: run: %v", name, err)
-	}
-	if err := prof.Err(); err != nil {
-		t.Fatalf("%s: collector errors: %v", name, err)
+		t.Fatalf("%s/%s: run: %v", plat, name, err)
 	}
 	prof.CompileStats = nil
 	b, err := json.Marshal(prof)
 	if err != nil {
-		t.Fatalf("%s: marshal: %v", name, err)
+		t.Fatalf("%s/%s: marshal: %v", plat, name, err)
 	}
 	return b
 }
 
-// TestSuperblockInvariance is the differential acceptance check of the
-// superblock executor: for every workload in the catalog, a run with
-// superblocks fused must produce bit-identical Profile JSON to a run
-// on the per-instruction path — across counting (stat), overflow
-// sampling (record), roofline and topdown collection.
+// catalogDigests reads testdata/catalog_digests.txt: the sha256 of
+// catalogProfileJSON per "platform workload", recorded while the
+// per-instruction and superblock interpreter loops agreed byte for
+// byte.
+func catalogDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "catalog_digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	digests := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 3 {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		digests[fields[0]+" "+fields[1]] = fields[2]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return digests
+}
+
+// checkDigest compares a profile's sha256 with the recorded digest for
+// plat/name and reports the actual digest on a mismatch.
+func checkDigest(t *testing.T, digests map[string]string, plat, name string, profile []byte) {
+	t.Helper()
+	sum := sha256.Sum256(profile)
+	got := hex.EncodeToString(sum[:])
+	want, ok := digests[plat+" "+name]
+	if !ok {
+		t.Errorf("%s/%s: no recorded digest (actual %s)", plat, name, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s/%s: profile digest %s, recorded %s\nprofile: %s", plat, name, got, want, profile)
+	}
+}
+
+// digestPlatforms are the platforms the catalog digests cover: one
+// in-order and one out-of-order pipeline.
+var digestPlatforms = []string{"x60", "i5"}
+
+// TestSuperblockInvariance is the catalog acceptance check of the
+// region interpreter: for every workload in the catalog, on the X60
+// (in-order) and the i5 (out-of-order), the Profile JSON across
+// counting (stat), overflow sampling (record), roofline and topdown
+// collection must hash to the digest recorded while the per-instruction
+// loop and the superblock loop produced identical profiles.
 func TestSuperblockInvariance(t *testing.T) {
+	digests := catalogDigests(t)
+	if want := len(digestPlatforms) * len(workloads.Names()); len(digests) != want {
+		t.Errorf("%d recorded digests, want one per platform and workload (%d)", len(digests), want)
+	}
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
-			t.Setenv("MPERF_NO_SUPERBLOCK", "")
-			fused := catalogProfileJSON(t, name)
-			t.Setenv("MPERF_NO_SUPERBLOCK", "1")
-			unfused := catalogProfileJSON(t, name)
-			if string(fused) != string(unfused) {
-				t.Errorf("profiles diverge between superblock and per-instruction execution\nfused:   %s\nunfused: %s",
-					fused, unfused)
+			for _, plat := range digestPlatforms {
+				checkDigest(t, digests, plat, name, catalogProfileJSON(t, plat, name))
 			}
 		})
 	}
 }
 
 // TestProgramKeyCodegen pins that the plan key is versioned by the VM
-// codegen: toggling the superblock escape hatch must change the key,
-// so a cached artifact can never be reused across codegen modes.
+// codegen, so a cached artifact is never reused across a codegen
+// change: cg3 is the region loop as the only interpreter loop.
 func TestProgramKeyCodegen(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
-	on := catalogSession(t, "dot").ProgramKey(false, false)
-	if on.Codegen != "cg2+sb" {
-		t.Errorf("fused codegen tag = %q, want cg2+sb", on.Codegen)
+	key := catalogSession(t, "dot").ProgramKey(false, false)
+	if key.Codegen != "cg3" {
+		t.Errorf("codegen tag = %q, want cg3", key.Codegen)
 	}
-	t.Setenv("MPERF_NO_SUPERBLOCK", "1")
-	off := catalogSession(t, "dot").ProgramKey(false, false)
-	if off.Codegen != "cg2" {
-		t.Errorf("per-instruction codegen tag = %q, want cg2", off.Codegen)
-	}
-	if on == off {
-		t.Errorf("plan keys collide across codegen modes: %+v", on)
+	if !strings.Contains(key.String(), "cg3") {
+		t.Errorf("plan key %q does not carry the codegen tag", key.String())
 	}
 }
 
-// TestExecStatsCoverage checks the -vm-stats plumbing: with superblocks
-// on, the session-level accumulator reports fused coverage after the
-// collectors release their machines, and none of it leaks into the
-// Profile JSON (the invariance test above pins the latter bit-exactly).
+// TestExecStatsCoverage checks the -vm-stats plumbing: the
+// session-level accumulator reports steps and kernel activity after
+// the collectors release their machines, and none of it leaks into the
+// Profile JSON.
 func TestExecStatsCoverage(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
 	var st mperf.ExecStats
 	sess := catalogSession(t, "dot",
 		mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st))
@@ -105,15 +160,9 @@ func TestExecStatsCoverage(t *testing.T) {
 	if err := prof.Err(); err != nil {
 		t.Fatal(err)
 	}
-	total, fusedN := st.TotalSteps.Load(), st.FusedSteps.Load()
-	if total == 0 || fusedN == 0 {
-		t.Fatalf("coverage counters empty: total=%d fused=%d", total, fusedN)
-	}
-	if fusedN > total {
-		t.Fatalf("fused steps %d exceed total %d", fusedN, total)
-	}
-	if fusedN*10 < total*9 {
-		t.Errorf("fused coverage %d/%d below 90%%", fusedN, total)
+	if st.TotalSteps.Load() == 0 || st.KernelHits.Load() == 0 || st.KernelIters.Load() == 0 {
+		t.Fatalf("coverage counters empty: steps=%d kernel hits=%d iters=%d",
+			st.TotalSteps.Load(), st.KernelHits.Load(), st.KernelIters.Load())
 	}
 	b, err := json.Marshal(prof)
 	if err != nil {
@@ -132,7 +181,6 @@ func TestExecStatsCoverage(t *testing.T) {
 // (vocabulary drift, phi-copy hazard) fails loudly here rather than
 // showing up only as a benchmark regression.
 func TestKernelCoverage(t *testing.T) {
-	t.Setenv("MPERF_NO_SUPERBLOCK", "")
 	for _, name := range []string{"triad", "memset", "matmul"} {
 		t.Run(name, func(t *testing.T) {
 			var st mperf.ExecStats
@@ -146,8 +194,8 @@ func TestKernelCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 			if hits, iters := st.KernelHits.Load(), st.KernelIters.Load(); hits == 0 || iters == 0 {
-				t.Errorf("specialized kernels never engaged: hits=%d iters=%d (total=%d fused=%d)",
-					hits, iters, st.TotalSteps.Load(), st.FusedSteps.Load())
+				t.Errorf("specialized kernels never engaged: hits=%d iters=%d (steps=%d)",
+					hits, iters, st.TotalSteps.Load())
 			}
 		})
 	}

@@ -2,8 +2,9 @@
 # Regenerate BENCH_PR9.json: run the four headline benchmarks (one per
 # reproduced table/figure plus the memset roof input), the PR3
 # program-cache trajectory benches, the PR6 daemon load bench (200
-# concurrent HTTP clients against a warm mperfd), the PR8 superblock
-# micro-benches (fused vs per-instruction hot-loop dispatch), and the
+# concurrent HTTP clients against a warm mperfd), the superblock
+# micro-benches (hot-loop dispatch cost of the region interpreter, in
+# sim-MIPS), and the
 # PR9 artifact-store benches (warm start from serialized programs vs a
 # cold compile, and a sharded two-process sweep with merge), and record
 # ns/op, the reproduced paper metrics, and the speedup/metric drift
