@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke vet
+.PHONY: build test bench-smoke vet
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-# bench regenerates BENCH_PR9.json (headline, program-cache, daemon,
-# superblock and artifact-store benches, ns/op + the reproduced paper
-# metrics, compared against the recorded PR 8 baseline).
-bench:
-	sh scripts/bench.sh
 
 # bench-smoke runs every benchmark exactly once so they cannot bit-rot;
 # it is part of CI and takes a few seconds.

@@ -100,25 +100,61 @@ func BenchmarkFigure4_Roofline(b *testing.B) {
 func BenchmarkMemsetBandwidth(b *testing.B) {
 	var bpc float64
 	for i := 0; i < b.N; i++ {
-		mod := ir.NewModule("memset")
-		workloads.BuildMemset(mod)
-		const words = 1 << 19
-		mod.NewGlobal("buf", ir.I64, words)
-		if _, err := passes.RunPipeline(mod, passes.PipelineOptions{
-			Profile: passes.VecConservative, Lanes: 8,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		m, err := vm.New(platform.X60(), mod)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bpc, err = workloads.MemsetStoredBytesPerCycle(m, "buf", words)
-		if err != nil {
+		var err error
+		if bpc, err = memsetBytesPerCycle(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(bpc, "bytes/cycle")
+}
+
+// memsetBytesPerCycle measures the stored bytes/cycle of a vectorized
+// 4 MiB memset on the X60.
+func memsetBytesPerCycle() (float64, error) {
+	mod := ir.NewModule("memset")
+	workloads.BuildMemset(mod)
+	const words = 1 << 19
+	mod.NewGlobal("buf", ir.I64, words)
+	if _, err := passes.RunPipeline(mod, passes.PipelineOptions{
+		Profile: passes.VecConservative, Lanes: 8,
+	}); err != nil {
+		return 0, err
+	}
+	m, err := vm.New(platform.X60(), mod)
+	if err != nil {
+		return 0, err
+	}
+	return workloads.MemsetStoredBytesPerCycle(m, "buf", words)
+}
+
+// TestPinnedPaperMetrics pins the four reproduced paper metrics the
+// headline benches report, formatted the way the benchmark printer
+// shows them (and CI greps them): the Table 2 IPC gap, the Figure 4
+// miniperf GFLOP/s on x86 and the X60, and the X60 memset bandwidth.
+// They are deterministic simulation outputs and must not drift at all.
+func TestPinnedPaperMetrics(t *testing.T) {
+	t2, err := experiments.RunTable2(benchSqliteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f4, err := experiments.RunFigure4(128, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bpc, err := memsetBytesPerCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct{ name, got, want string }{
+		{"IPC-gap", fmt.Sprintf("%.3f", t2.I5.IPC/t2.X60.IPC), "3.409"},
+		{"x86-miniperf-GFLOPS", fmt.Sprintf("%.2f", f4.MiniperfX86.GFLOPS), "22.08"},
+		{"x60-miniperf-GFLOPS", fmt.Sprintf("%.4f", f4.MiniperfX60.GFLOPS), "0.9267"},
+		{"bytes/cycle", fmt.Sprintf("%.3f", bpc), "3.369"},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s = %s, pinned %s", pin.name, pin.got, pin.want)
+		}
+	}
 }
 
 // --- Ablations (DESIGN.md §5) ---

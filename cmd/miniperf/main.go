@@ -205,7 +205,6 @@ func main() {
 	cacheDir := fs.String("cache-dir", "", "persistent program artifact directory (default: $"+mperf.CacheDirEnv+")")
 	daemonMode := fs.String("daemon", "auto", "mperfd use: auto (use a daemon when one is up), off, or an explicit host:port")
 	requestTimeout := fs.Duration("request-timeout", 0, "daemon-side deadline for served requests (0 = daemon default)")
-	hierarchical := fs.Bool("hierarchical", false, "roofline: also collect L1/L2/DRAM ceilings and per-level traffic")
 	asJSON := fs.Bool("json", false, "emit the profile as JSON instead of rendered text")
 	vmStats := fs.Bool("vm-stats", false, "print VM execution coverage (steps, kernel hits) to stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of miniperf itself here")
@@ -230,15 +229,17 @@ func main() {
 		collectorNames = mperf.CollectorNames()
 	}
 
-	opts := []mperf.Option{
-		mperf.WithMatmulSize(*n, *tile),
-		mperf.WithSampleFreq(*freq),
-	}
 	if *cacheDir != "" {
 		// Attaches the artifact store to the default program cache (the
 		// one every session here compiles through); without the flag the
 		// cache honors MPERF_CACHE_DIR on its own.
-		opts = append(opts, mperf.WithArtifactDir(*cacheDir))
+		if err := mperf.DefaultProgramCache().SetArtifactDir(*cacheDir); err != nil {
+			fail(err)
+		}
+	}
+	opts := []mperf.Option{
+		mperf.WithMatmulSize(*n, *tile),
+		mperf.WithSampleFreq(*freq),
 	}
 	// -vm-stats: diagnostic coverage counters, printed to stderr on
 	// exit and deliberately kept out of Profile output (profiles do not
@@ -256,9 +257,6 @@ func main() {
 	}
 	if *elems > 0 {
 		opts = append(opts, mperf.WithElems(*elems))
-	}
-	if *hierarchical {
-		opts = append(opts, mperf.WithHierarchicalRoofline())
 	}
 	if evs := splitList(*events); evs != nil {
 		opts = append(opts, mperf.WithStatEvents(evs...))
@@ -432,25 +430,24 @@ func main() {
 		}
 		fmt.Println(prof.Roofline.Model.Summary())
 		fmt.Println(prof.Roofline.Model.ASCIIPlot(100, 20))
-		if h := prof.Roofline.Hierarchical; h != nil {
-			fmt.Println(prof.Roofline.HierModel.Summary())
-			fmt.Println(prof.Roofline.HierModel.ASCIIPlot(100, 20))
-			t := report.NewTable("Per-level traffic",
-				"Region", "Level", "Bytes", "AI", "GiB/s", "Bound")
-			for _, pt := range h.Points {
-				for _, lv := range pt.Levels {
-					bound := ""
-					if lv.Level == pt.Bound {
-						bound = "◀ bound"
-					} else if pt.Bound == "compute" && lv.Level == "L1" {
-						bound = "(compute-bound)"
-					}
-					t.AddRowCells(pt.Name, lv.Level, report.Grouped(lv.Bytes),
-						fmt.Sprintf("%.4f", lv.AI), fmt.Sprintf("%.3f", lv.GiBps), bound)
+		h := prof.Roofline.Hierarchical
+		fmt.Println(prof.Roofline.HierModel.Summary())
+		fmt.Println(prof.Roofline.HierModel.ASCIIPlot(100, 20))
+		t := report.NewTable("Per-level traffic",
+			"Region", "Level", "Bytes", "AI", "GiB/s", "Bound")
+		for _, pt := range h.Points {
+			for _, lv := range pt.Levels {
+				bound := ""
+				if lv.Level == pt.Bound {
+					bound = "◀ bound"
+				} else if pt.Bound == "compute" && lv.Level == "L1" {
+					bound = "(compute-bound)"
 				}
+				t.AddRowCells(pt.Name, lv.Level, report.Grouped(lv.Bytes),
+					fmt.Sprintf("%.4f", lv.AI), fmt.Sprintf("%.3f", lv.GiBps), bound)
 			}
-			fmt.Println(t.String())
 		}
+		fmt.Println(t.String())
 
 	case "topdown":
 		_, prof := runOne("topdown")

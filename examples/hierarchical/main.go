@@ -20,10 +20,7 @@ func main() {
 		"gather", "scatter", "spmv", "ptrchase",
 	}
 	for _, w := range suite {
-		sess, err := mperf.Open("x60", w,
-			mperf.WithElems(4096),
-			mperf.WithHierarchicalRoofline(),
-		)
+		sess, err := mperf.Open("x60", w, mperf.WithElems(4096))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,8 +44,7 @@ func main() {
 
 	// The ceilings themselves are per-platform model parameters; print
 	// the X60's for reference (monotone by construction: L1 ≥ L2 ≥ DRAM).
-	sess, err := mperf.Open("x60", "stream_add",
-		mperf.WithElems(4096), mperf.WithHierarchicalRoofline())
+	sess, err := mperf.Open("x60", "stream_add", mperf.WithElems(4096))
 	if err != nil {
 		log.Fatal(err)
 	}

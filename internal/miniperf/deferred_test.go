@@ -32,9 +32,8 @@ var smallParams = workloads.Params{
 	MatmulN: 16, MatmulTile: 8, Elems: 2048, MemsetWords: 2048,
 }
 
-// instantiate compiles a catalog workload with the given options and
-// returns a seeded machine plus a function that runs the entry point.
-func instantiate(t *testing.T, name string, p *platform.Platform, opts ...vm.CompileOption) (*vm.Machine, func() error) {
+// instantiate compiles a catalog workload and returns a seeded machine plus a function that runs the entry point.
+func instantiate(t *testing.T, name string, p *platform.Platform) (*vm.Machine, func() error) {
 	t.Helper()
 	spec, err := workloads.Lookup(name, smallParams)
 	if err != nil {
@@ -44,7 +43,7 @@ func instantiate(t *testing.T, name string, p *platform.Platform, opts ...vm.Com
 	if err := spec.Build(mod); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := vm.Compile(mod, opts...)
+	prog, err := vm.Compile(mod)
 	if err != nil {
 		t.Fatal(err)
 	}

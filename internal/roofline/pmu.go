@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"mperf/internal/isa"
-	"mperf/internal/kernel"
+	"mperf/internal/miniperf"
 	"mperf/internal/vm"
 )
 
@@ -24,59 +24,29 @@ import (
 // reference); RISC-V parts without such events return an error, which
 // is precisely the tooling gap the paper's IR-based method fills.
 func PMUEstimate(m *vm.Machine, kernelName string, run func() error) (Point, error) {
-	k := m.Kernel()
-	spec := m.Hart().PMU.Spec()
 	fpEv := isa.RawEvent(isa.X86EventFPArith)
-	if _, ok := spec.Resolve(fpEv); !ok {
+	if _, ok := m.Hart().PMU.Spec().Resolve(fpEv); !ok {
 		return Point{}, fmt.Errorf("roofline: %s exposes no FP-operation counter; PMU-based roofline unavailable",
 			m.Platform().Name)
 	}
-
-	open := func(label string, ev isa.EventCode) (int, error) {
-		return k.PerfEventOpen(kernel.EventAttr{Label: label, Config: ev, Disabled: true}, -1)
-	}
-	fpFD, err := open("fp_arith", fpEv)
+	tool, err := miniperf.Attach(m)
 	if err != nil {
 		return Point{}, err
 	}
-	ldFD, err := open("mem_loads", isa.RawEvent(isa.X86EventLoads))
+	ldEv, stEv := isa.RawEvent(isa.X86EventLoads), isa.RawEvent(isa.X86EventStores)
+	st, err := tool.Stat([]isa.EventCode{fpEv, ldEv, stEv}, run)
 	if err != nil {
 		return Point{}, err
 	}
-	stFD, err := open("mem_stores", isa.RawEvent(isa.X86EventStores))
-	if err != nil {
-		return Point{}, err
-	}
-	defer k.Close(fpFD)
-	defer k.Close(ldFD)
-	defer k.Close(stFD)
-
-	start := m.Cycles()
-	for _, fd := range []int{fpFD, ldFD, stFD} {
-		if err := k.Enable(fd); err != nil {
-			return Point{}, err
-		}
-	}
-	runErr := run()
-	for _, fd := range []int{fpFD, ldFD, stFD} {
-		k.Disable(fd)
-	}
-	if runErr != nil {
-		return Point{}, fmt.Errorf("roofline: workload failed: %w", runErr)
-	}
-	elapsed := float64(m.Cycles()-start) / m.FreqHz()
-
-	flops, _ := k.ReadCount(fpFD)
-	loads, _ := k.ReadCount(ldFD)
-	stores, _ := k.ReadCount(stFD)
+	flops := st.Values[fpEv.String()]
 
 	// Advisor-style byte estimate: operations × assumed width.
 	const assumedWidth = 8
-	bytes := (loads + stores) * assumedWidth
+	bytes := (st.Values[ldEv.String()] + st.Values[stEv.String()]) * assumedWidth
 
 	p := Point{Name: kernelName, Source: "PMU counters"}
-	if elapsed > 0 {
-		p.GFLOPS = float64(flops) / elapsed / 1e9
+	if st.ElapsedSeconds > 0 {
+		p.GFLOPS = float64(flops) / st.ElapsedSeconds / 1e9
 	}
 	if bytes > 0 {
 		p.AI = float64(flops) / float64(bytes)

@@ -3,20 +3,19 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"mperf/internal/ir"
 )
 
 // This file implements program artifact serialization: the stable
-// parts of a compiled Program — the frozen module, the compile
-// configuration that shaped its plans, and the baked Seed data image —
-// flattened into bytes and back. Exec funcs and superblock templates
-// are Go closures and cannot travel; DecodeArtifact re-plans them from
-// the decoded module, which is cheap next to a cold pipeline compile
-// (no workload build, no vectorizer pipeline, no Seed execution, and —
-// because callers guard artifacts with an integrity checksum and the
-// encoder only ever sees verified modules — no re-verification).
+// parts of a compiled Program — the frozen module and the baked Seed
+// data image — flattened into bytes and back. Exec funcs and
+// superblock templates are Go closures and cannot travel;
+// DecodeArtifact re-plans them from the decoded module, which is cheap
+// next to a cold pipeline compile (no workload build, no vectorizer
+// pipeline, no Seed execution, and — because callers guard artifacts
+// with an integrity checksum and the encoder only ever sees verified
+// modules — no re-verification).
 //
 // The payload is versioned independently of the codegen scheme: the
 // codegen tag lives in the caller's cache key (a plan change makes old
@@ -26,11 +25,10 @@ import (
 
 // ArtifactVersion identifies the artifact payload layout. Bump on any
 // change to EncodeArtifact's byte format.
-const ArtifactVersion = 2
+const ArtifactVersion = 3
 
-// EncodeArtifact serializes the program's stable parts: the module,
-// the compile configuration (the hot-function restriction), and the
-// data image when one was baked.
+// EncodeArtifact serializes the program's stable parts: the module and
+// the data image when one was baked.
 func EncodeArtifact(p *Program) ([]byte, error) {
 	if p == nil || p.mod == nil {
 		return nil, fmt.Errorf("vm: cannot encode a nil program")
@@ -38,18 +36,6 @@ func EncodeArtifact(p *Program) ([]byte, error) {
 	modBytes := ir.EncodeModule(p.mod)
 	out := make([]byte, 0, len(modBytes)+len(p.image)+64)
 	out = append(out, ArtifactVersion)
-	// Hot-function restriction: 0 = unrestricted (nil set), 1 = the
-	// listed functions only (possibly none, meaning disabled).
-	if p.hotFuncs == nil {
-		out = append(out, 0)
-	} else {
-		out = append(out, 1)
-		out = binary.AppendUvarint(out, uint64(len(p.hotFuncs)))
-		for _, name := range p.hotFuncs {
-			out = binary.AppendUvarint(out, uint64(len(name)))
-			out = append(out, name...)
-		}
-	}
 	out = binary.AppendUvarint(out, uint64(len(modBytes)))
 	out = append(out, modBytes...)
 	out = binary.AppendUvarint(out, uint64(len(p.image)))
@@ -59,10 +45,9 @@ func EncodeArtifact(p *Program) ([]byte, error) {
 
 // DecodeArtifact reconstructs a Program from EncodeArtifact bytes:
 // the module is decoded and re-planned (exec funcs, superblock
-// templates and loop kernels are re-bound under the serialized compile
-// configuration), and the data image is reinstalled. The input must be
-// integrity-checked by the caller; any structural mismatch is returned
-// as an error, never a panic.
+// templates and loop kernels are re-bound), and the data image is
+// reinstalled. The input must be integrity-checked by the caller; any
+// structural mismatch is returned as an error, never a panic.
 func DecodeArtifact(data []byte) (*Program, error) {
 	pos := 0
 	u8 := func(what string) (byte, error) {
@@ -97,35 +82,6 @@ func DecodeArtifact(data []byte) (*Program, error) {
 	if ver != ArtifactVersion {
 		return nil, fmt.Errorf("vm: artifact version %d, want %d", ver, ArtifactVersion)
 	}
-	var cfg compileConfig
-	hotByte, err := u8("hot-func flag")
-	if err != nil {
-		return nil, err
-	}
-	var hotNames []string
-	if hotByte != 0 {
-		n, err := uvarint("hot-func count")
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("vm: artifact hot-func count %d overruns input", n)
-		}
-		cfg.hotFuncs = make(map[string]bool, n)
-		hotNames = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			l, err := uvarint("hot-func name length")
-			if err != nil {
-				return nil, err
-			}
-			b, err := take(l, "hot-func name")
-			if err != nil {
-				return nil, err
-			}
-			cfg.hotFuncs[string(b)] = true
-			hotNames = append(hotNames, string(b))
-		}
-	}
 
 	modLen, err := uvarint("module length")
 	if err != nil {
@@ -153,11 +109,10 @@ func DecodeArtifact(data []byte) (*Program, error) {
 	}
 	// Re-plan without re-verifying: the encoder only sees modules that
 	// already passed ir.Verify, and the caller checksummed the bytes.
-	p, err := compileModule(mod, cfg, false)
+	p, err := compileModule(mod, false)
 	if err != nil {
 		return nil, fmt.Errorf("vm: re-planning artifact: %w", err)
 	}
-	p.hotFuncs = hotNames
 	if len(img) > 0 {
 		if len(img) != p.DataSize() {
 			return nil, fmt.Errorf("vm: artifact image is %d bytes, program data region is %d",
@@ -166,19 +121,4 @@ func DecodeArtifact(data []byte) (*Program, error) {
 		p.image = append([]byte(nil), img...)
 	}
 	return p, nil
-}
-
-// sortedHotFuncs renders a compile config's hot-function restriction
-// in the canonical (sorted) order the artifact encoding uses; nil
-// means unrestricted and stays nil.
-func sortedHotFuncs(cfg *compileConfig) []string {
-	if cfg.hotFuncs == nil {
-		return nil
-	}
-	names := make([]string, 0, len(cfg.hotFuncs))
-	for n := range cfg.hotFuncs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

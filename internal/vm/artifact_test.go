@@ -9,9 +9,9 @@ import (
 
 // compileSum compiles the shared sum module with a baked data image,
 // mirroring what workloads.BuildProgram produces.
-func compileSum(t *testing.T, n int, opts ...CompileOption) *Program {
+func compileSum(t *testing.T, n int) *Program {
 	t.Helper()
-	prog, err := Compile(buildSumModule(n), opts...)
+	prog, err := Compile(buildSumModule(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,30 @@ func TestArtifactRoundTrip(t *testing.T) {
 	})
 }
 
-// TestArtifactHotFuncsRoundTrip pins that the hot-function restriction
-// survives serialization: a program compiled with WithHotFuncs
-// re-plans under the same restriction after decode.
+// kernelBlocks lists, in plan order, the function/block names whose
+// loops matched a specialized kernel.
+func kernelBlocks(p *Program) []string {
+	var out []string
+	for _, f := range p.mod.Funcs {
+		fp := p.plans[f]
+		for _, bp := range fp.blocks {
+			if bp.kernel != nil {
+				out = append(out, f.FName+"/"+bp.block.BName)
+			}
+		}
+	}
+	return out
+}
+
+// TestArtifactHotFuncsRoundTrip pins that a program decoded from its
+// artifact re-plans the same loop kernels as the original, and that
+// they engage identically at run time.
 func TestArtifactHotFuncsRoundTrip(t *testing.T) {
 	const n = 256
-	prog := compileSum(t, n, WithHotFuncs("sum"))
+	prog, err := Compile(buildFMASumModule(n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := EncodeArtifact(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -106,32 +124,20 @@ func TestArtifactHotFuncsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.hotFuncs) != 1 || loaded.hotFuncs[0] != "sum" {
-		t.Fatalf("hot funcs lost: %v", loaded.hotFuncs)
+	want, got := kernelBlocks(prog), kernelBlocks(loaded)
+	if len(want) == 0 {
+		t.Fatal("FMA sum matched no loop kernel")
 	}
-	if got, want := runSumProg(t, loaded, n), runSumProg(t, prog, n); got != want {
-		t.Fatalf("decoded hot-func program diverges: got %+v, want %+v", got, want)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("decoded program kernels %v, original %v", got, want)
 	}
-
-	// Unrestricted (nil) and disabled (empty) restrictions are distinct
-	// states and must both survive.
-	unrestricted := compileSum(t, n)
-	du, _ := EncodeArtifact(unrestricted)
-	lu, err := DecodeArtifact(du)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lu.hotFuncs != nil {
-		t.Fatalf("unrestricted program decoded with restriction %v", lu.hotFuncs)
-	}
-	disabled := compileSum(t, n, WithHotFuncs())
-	dd, _ := EncodeArtifact(disabled)
-	ld, err := DecodeArtifact(dd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ld.hotFuncs == nil || len(ld.hotFuncs) != 0 {
-		t.Fatalf("disabled restriction decoded as %v", ld.hotFuncs)
+	wantSum, wantSt := runFMASumProg(t, prog, n)
+	gotSum, gotSt := runFMASumProg(t, loaded, n)
+	if gotSum != wantSum || gotSt.KernelHits.Load() != wantSt.KernelHits.Load() ||
+		gotSt.KernelIters.Load() != wantSt.KernelIters.Load() {
+		t.Fatalf("decoded program: sum %f hits %d iters %d; original: sum %f hits %d iters %d",
+			gotSum, gotSt.KernelHits.Load(), gotSt.KernelIters.Load(),
+			wantSum, wantSt.KernelHits.Load(), wantSt.KernelIters.Load())
 	}
 }
 
@@ -166,6 +172,20 @@ func TestArtifactDecodeRejects(t *testing.T) {
 		}()
 		if _, err := DecodeArtifact(v1); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version-1 payload: want version error, got %v", err)
+		}
+	}()
+
+	// A version-2 payload carries a hot-function flag byte after the
+	// version; it too must be rejected by version.
+	v2 := append([]byte{2, 0}, data[1:]...)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("decode of a version-2 payload panicked: %v", r)
+			}
+		}()
+		if _, err := DecodeArtifact(v2); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-2 payload: want version error, got %v", err)
 		}
 	}()
 

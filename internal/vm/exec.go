@@ -28,15 +28,6 @@ func widthBits(k ir.Kind) uint {
 	}
 }
 
-// maskTo truncates raw bits to the kind's width.
-func maskTo(k ir.Kind, v uint64) uint64 {
-	w := widthBits(k)
-	if w >= 64 {
-		return v
-	}
-	return v & (1<<w - 1)
-}
-
 // signExt interprets raw bits as a signed integer of the kind's width.
 func signExt(k ir.Kind, v uint64) int64 {
 	w := widthBits(k)

@@ -130,7 +130,6 @@ type planner struct {
 	plans    map[*ir.Func]*funcPlan
 	nextBase uint64
 	nextBrID uint32
-	cfg      compileConfig
 }
 
 // blockAddrStride spaces block PCs within a function's address range.
@@ -165,9 +164,7 @@ func (p *planner) planModule(mod *ir.Module) error {
 		}
 		fp := p.plans[f]
 		buildRegions(fp)
-		if p.cfg.hotFuncs == nil || p.cfg.hotFuncs[f.FName] {
-			matchKernels(fp)
-		}
+		matchKernels(fp)
 	}
 	return nil
 }

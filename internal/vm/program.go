@@ -47,23 +47,13 @@ type Program struct {
 	// machine's dirty high-water mark, so a pooled instantiation is
 	// indistinguishable from a fresh allocation.
 	memPool sync.Pool
-
-	// hotFuncs records the compile's hot-function restriction in
-	// canonical sorted order (nil = unrestricted), so the artifact
-	// encoder can serialize the exact configuration for re-planning.
-	hotFuncs []string
 }
 
 // Compile verifies, freezes and plans a module into an immutable
 // Program. The module must not be mutated afterwards (ir.Freeze makes
-// the construction APIs enforce this). See WithHotFuncs for the one
-// option.
-func Compile(mod *ir.Module, opts ...CompileOption) (*Program, error) {
-	var cfg compileConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileModule(mod, cfg, true)
+// the construction APIs enforce this).
+func Compile(mod *ir.Module) (*Program, error) {
+	return compileModule(mod, true)
 }
 
 // compileModule is the shared planning path behind Compile and
@@ -71,7 +61,7 @@ func Compile(mod *ir.Module, opts ...CompileOption) (*Program, error) {
 // always verify, while checksummed artifacts decode from bytes the
 // encoder produced only for already-verified modules, so re-planning
 // them skips straight to layout and plan binding.
-func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, error) {
+func compileModule(mod *ir.Module, verify bool) (*Program, error) {
 	if verify {
 		if err := ir.Verify(mod); err != nil {
 			return nil, fmt.Errorf("vm: module does not verify: %w", err)
@@ -82,7 +72,6 @@ func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, er
 		mod:        mod,
 		globalAddr: make(map[string]uint64),
 		plans:      make(map[*ir.Func]*funcPlan),
-		hotFuncs:   sortedHotFuncs(&cfg),
 	}
 
 	// Lay out globals then the alloca stack.
@@ -95,7 +84,7 @@ func compileModule(mod *ir.Module, cfg compileConfig, verify bool) (*Program, er
 	p.stackBase = align(addr, 64)
 	p.memSize = p.stackBase + stackSize
 
-	pl := &planner{prog: p, plans: p.plans, nextBase: 0x400000, cfg: cfg}
+	pl := &planner{prog: p, plans: p.plans, nextBase: 0x400000}
 	if err := pl.planModule(mod); err != nil {
 		return nil, err
 	}

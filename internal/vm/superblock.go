@@ -29,33 +29,6 @@ import (
 // so artifacts are never reused across codegen changes.
 func CodegenTag() string { return "cg3" }
 
-// compileConfig collects Compile's functional options.
-type compileConfig struct {
-	// hotFuncs, when non-nil, restricts specialized loop-kernel
-	// matching to the named functions (the profile-guided re-planning
-	// hook); nil means every function is a candidate.
-	hotFuncs map[string]bool
-}
-
-// CompileOption configures Compile.
-type CompileOption func(*compileConfig)
-
-// WithHotFuncs restricts specialized loop-kernel matching to the named
-// functions. It is the profile-guided re-planning hook: a caller that
-// has sampled an earlier run can recompile with only the hot functions
-// listed, focusing specialization where the simulator's own hotspot
-// data says it pays. Superblock fusion itself is unaffected (it is
-// uniformly cheap). With no names, specialization is disabled
-// entirely; without this option every function is a candidate.
-func WithHotFuncs(names ...string) CompileOption {
-	return func(c *compileConfig) {
-		c.hotFuncs = make(map[string]bool, len(names))
-		for _, n := range names {
-			c.hotFuncs[n] = true
-		}
-	}
-}
-
 // ExecStats aggregates execution coverage counters across machines —
 // how many instructions ran and how often specialized loop kernels
 // hit. Machines flush into it on Release (and on FlushExecStats); it is

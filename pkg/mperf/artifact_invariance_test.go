@@ -9,16 +9,25 @@ import (
 	"mperf/pkg/mperf/faultinject"
 )
 
-// catalogDiskProfileJSON runs every collector mode over one workload
-// through a cache backed by dir, returning the canonical Profile JSON
-// with the compile accounting stripped. The first call against a dir
-// compiles and persists; subsequent calls with fresh caches load the
-// serialized artifact from disk.
-func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
+// storeCache returns a fresh program cache with an artifact store
+// rooted at dir attached.
+func storeCache(t *testing.T, dir string) *mperf.ProgramCache {
 	t.Helper()
 	cache := mperf.NewProgramCache()
-	sess := catalogSession(t, name,
-		mperf.WithProgramCache(cache), mperf.WithArtifactDir(dir))
+	if err := cache.SetArtifactDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return cache
+}
+
+// catalogDiskProfileJSON runs every collector mode over one workload
+// through a cache backed by dir, returning the canonical Profile JSON
+// with the compile accounting and the hierarchical roofline stripped.
+// The first call against a dir compiles and persists; subsequent calls
+// with fresh caches load the serialized artifact from disk.
+func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
+	t.Helper()
+	sess := catalogSession(t, name, mperf.WithProgramCache(storeCache(t, dir)))
 	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
@@ -26,7 +35,7 @@ func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
 	if err := prof.Err(); err != nil {
 		t.Fatalf("%s: collector errors: %v", name, err)
 	}
-	prof.CompileStats = nil
+	stripVolatile(prof)
 	b, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", name, err)
@@ -77,10 +86,9 @@ func TestArtifactInvariance(t *testing.T) {
 func TestArtifactWarmStartCompilesNothing(t *testing.T) {
 	dir := t.TempDir()
 	runAll := func() *mperf.ProgramCache {
-		cache := mperf.NewProgramCache()
+		cache := storeCache(t, dir)
 		for _, name := range workloads.Names() {
-			sess := catalogSession(t, name,
-				mperf.WithProgramCache(cache), mperf.WithArtifactDir(dir))
+			sess := catalogSession(t, name, mperf.WithProgramCache(cache))
 			prof, err := sess.Run(mperf.MustCollectors("stat", "roofline")...)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -111,9 +119,8 @@ func TestArtifactWarmStartCompilesNothing(t *testing.T) {
 // back.
 func TestCompileFaultNotMaskedByStaleArtifact(t *testing.T) {
 	dir := t.TempDir()
-	cache := mperf.NewProgramCache()
-	sess := catalogSession(t, "dot",
-		mperf.WithProgramCache(cache), mperf.WithArtifactDir(dir))
+	cache := storeCache(t, dir)
+	sess := catalogSession(t, "dot", mperf.WithProgramCache(cache))
 	if _, err := sess.Program(false, false); err != nil {
 		t.Fatal(err)
 	}

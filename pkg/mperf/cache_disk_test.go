@@ -255,15 +255,15 @@ func TestFailedWaitNotACacheHit(t *testing.T) {
 	}
 }
 
-// TestWithArtifactDirOption pins the session-level wiring: a session
-// opened with WithArtifactDir persists its compiles, and a second
-// session over a fresh cache but the same directory reports the load
-// in its profile's CompileStats as a disk hit with zero compiles.
+// TestWithArtifactDirOption pins the session-level wiring of the
+// artifact store: a session on a cache with a store attached persists
+// its compiles, and a second session over a fresh cache attached to
+// the same directory reports the load in its profile's CompileStats as
+// a disk hit with zero compiles.
 func TestWithArtifactDirOption(t *testing.T) {
 	dir := t.TempDir()
 	run := func(cache *mperf.ProgramCache) *mperf.CompileStats {
-		opts := append(smallOpts(cache), mperf.WithArtifactDir(dir))
-		sess, err := mperf.Open("x60", "dot", opts...)
+		sess, err := mperf.Open("x60", "dot", smallOpts(cache)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,11 +276,11 @@ func TestWithArtifactDirOption(t *testing.T) {
 		}
 		return prof.CompileStats
 	}
-	cold := run(mperf.NewProgramCache())
+	cold := run(storeCache(t, dir))
 	if cold.Compiled == 0 || cold.DiskHits != 0 {
 		t.Fatalf("cold run stats = %+v, want compiles and no disk hits", cold)
 	}
-	warm := run(mperf.NewProgramCache())
+	warm := run(storeCache(t, dir))
 	if warm.Compiled != 0 || warm.DiskHits == 0 {
 		t.Fatalf("warm run stats = %+v, want zero compiles and disk hits", warm)
 	}

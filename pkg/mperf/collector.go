@@ -199,9 +199,7 @@ func (rooflineCollector) Collect(s *Session, p *Profile) error {
 	out.PeakGFLOPS = model.PeakGFLOPS()
 	out.MemoryGiBps = model.PeakGiBps()
 	out.RidgeAI = model.Ridge()
-	if s.hierRoof {
-		collectHierarchical(s, res, out)
-	}
+	collectHierarchical(s, res, out)
 	p.Roofline = out
 	return nil
 }

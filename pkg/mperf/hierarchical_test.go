@@ -8,18 +8,14 @@ import (
 	"mperf/pkg/mperf"
 )
 
-// hierProfileJSON runs every collector mode over one workload with
-// hierarchical roofline collection on or off and returns the canonical
-// Profile JSON with the compile accounting and (when collected) the
-// hierarchical extension stripped — leaving exactly the legacy shape
-// for byte comparison.
-func hierProfileJSON(t *testing.T, name string, hier bool) []byte {
+// hierProfileJSON runs every collector mode over one workload, checks
+// the hierarchical roofline's ceilings (L1/L2/DRAM, monotone) and
+// returns the canonical Profile JSON with the compile accounting and
+// the hierarchical extension stripped — leaving exactly the shape the
+// catalog digests pin.
+func hierProfileJSON(t *testing.T, name string) []byte {
 	t.Helper()
-	opts := []mperf.Option{mperf.WithProgramCache(mperf.NewProgramCache())}
-	if hier {
-		opts = append(opts, mperf.WithHierarchicalRoofline())
-	}
-	sess := catalogSession(t, name, opts...)
+	sess := catalogSession(t, name, mperf.WithProgramCache(mperf.NewProgramCache()))
 	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
@@ -28,23 +24,21 @@ func hierProfileJSON(t *testing.T, name string, hier bool) []byte {
 		t.Fatalf("%s: collector errors: %v", name, err)
 	}
 	prof.CompileStats = nil
-	if hier {
-		h := prof.Roofline.Hierarchical
-		if h == nil {
-			t.Fatalf("%s: hierarchical collection armed but no data emitted", name)
-		}
-		if len(h.Ceilings) != 3 {
-			t.Fatalf("%s: got %d ceilings, want L1/L2/DRAM", name, len(h.Ceilings))
-		}
-		for i := 1; i < len(h.Ceilings); i++ {
-			if h.Ceilings[i].GiBps > h.Ceilings[i-1].GiBps {
-				t.Errorf("%s: ceilings not monotone: %s %.2f > %s %.2f", name,
-					h.Ceilings[i].Level, h.Ceilings[i].GiBps,
-					h.Ceilings[i-1].Level, h.Ceilings[i-1].GiBps)
-			}
-		}
-		prof.Roofline.Hierarchical = nil
+	h := prof.Roofline.Hierarchical
+	if h == nil {
+		t.Fatalf("%s: roofline emitted no hierarchical data", name)
 	}
+	if len(h.Ceilings) != 3 {
+		t.Fatalf("%s: got %d ceilings, want L1/L2/DRAM", name, len(h.Ceilings))
+	}
+	for i := 1; i < len(h.Ceilings); i++ {
+		if h.Ceilings[i].GiBps > h.Ceilings[i-1].GiBps {
+			t.Errorf("%s: ceilings not monotone: %s %.2f > %s %.2f", name,
+				h.Ceilings[i].Level, h.Ceilings[i].GiBps,
+				h.Ceilings[i-1].Level, h.Ceilings[i-1].GiBps)
+		}
+	}
+	prof.Roofline.Hierarchical = nil
 	b, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", name, err)
@@ -52,28 +46,24 @@ func hierProfileJSON(t *testing.T, name string, hier bool) []byte {
 	return b
 }
 
-// TestHierarchicalRooflineInvariance is the differential acceptance
-// check of the hierarchical roofline: for every workload in the
-// catalog, a profile collected with per-level attribution on must be
-// byte-identical to the legacy profile once the purely-additive
-// hierarchical key is stripped — across counting, overflow sampling,
-// roofline and topdown collection. This is what licenses the traffic
-// probe and byte counters to live on the hot path: they are
-// observation, never perturbation. The per-instruction subtests also
-// pin the stripped profile to the digest recorded from the
-// per-instruction loop (see TestSuperblockInvariance).
+// TestHierarchicalRooflineInvariance is the acceptance check of the
+// hierarchical roofline: for every workload in the catalog, the
+// roofline carries L1/L2/DRAM ceilings in monotone order, and the
+// profile with the hierarchical key stripped still matches the digest
+// recorded before the hierarchical view was always on — across
+// counting, overflow sampling, roofline and topdown collection. This
+// is what licenses the traffic probe and byte counters to live on the
+// hot path: they are observation, never perturbation. The superblocks
+// subtests check the ceilings; the per-instruction subtests pin the
+// stripped profile to the digest recorded from the per-instruction
+// loop (see TestSuperblockInvariance).
 func TestHierarchicalRooflineInvariance(t *testing.T) {
 	digests := catalogDigests(t)
 	stripped := map[string][]byte{}
 	t.Run("superblocks", func(t *testing.T) {
 		for _, name := range workloads.Names() {
 			t.Run(name, func(t *testing.T) {
-				legacy := hierProfileJSON(t, name, false)
-				stripped[name] = hierProfileJSON(t, name, true)
-				if string(legacy) != string(stripped[name]) {
-					t.Errorf("legacy profile diverges when hierarchical collection is armed\noff: %s\non:  %s",
-						legacy, stripped[name])
-				}
+				stripped[name] = hierProfileJSON(t, name)
 			})
 		}
 	})
@@ -113,9 +103,7 @@ var memboundGolden = []struct {
 // byte-level determinism.
 func TestMemboundGoldenProfiles(t *testing.T) {
 	profile := func(t *testing.T, name string) (*mperf.Profile, []byte) {
-		sess := catalogSession(t, name,
-			mperf.WithProgramCache(mperf.NewProgramCache()),
-			mperf.WithHierarchicalRoofline())
+		sess := catalogSession(t, name, mperf.WithProgramCache(mperf.NewProgramCache()))
 		prof, err := sess.Run(mperf.MustCollectors("stat", "roofline", "topdown")...)
 		if err != nil {
 			t.Fatalf("run: %v", err)

@@ -89,16 +89,16 @@ type RooflineResult struct {
 	RidgeAI     float64         `json:"ridge_ai"`
 	Points      []RooflinePoint `json:"points"`
 
-	// Hierarchical is the L1/L2/DRAM extension, collected only when the
-	// session opts in (WithHierarchicalRoofline). It is purely additive:
-	// the fields above are byte-identical with or without it.
+	// Hierarchical is the L1/L2/DRAM extension of the same measurement:
+	// per-level bandwidth ceilings and per-level arithmetic-intensity
+	// points. The fields above do not depend on it.
 	Hierarchical *HierarchicalRoofline `json:"hierarchical,omitempty"`
 
 	// Model is the full chart object for rendering. Not serialized.
 	Model *roofline.Model `json:"-"`
 
 	// HierModel is the three-ceiling chart object for rendering the
-	// hierarchical view. Not serialized; nil unless collected.
+	// hierarchical view. Not serialized.
 	HierModel *roofline.Model `json:"-"`
 }
 

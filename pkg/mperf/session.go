@@ -79,13 +79,11 @@ var defaultStatEvents = []string{
 
 // config collects the functional options before Open validates them.
 type config struct {
-	params      workloads.Params
-	sampleFreq  uint64
-	statEvents  []string
-	cache       *ProgramCache
-	execStats   *vm.ExecStats
-	artifactDir *string
-	hierRoof    bool
+	params     workloads.Params
+	sampleFreq uint64
+	statEvents []string
+	cache      *ProgramCache
+	execStats  *vm.ExecStats
 }
 
 // Option configures a Session at Open time.
@@ -132,26 +130,13 @@ func WithProgramCache(cache *ProgramCache) Option {
 	return func(c *config) { c.cache = cache }
 }
 
-// WithArtifactDir attaches a persistent artifact store rooted at dir
-// to the session's program cache at Open time (see
-// ProgramCache.SetArtifactDir), making compiles warm-startable across
-// processes. Note the attach mutates the cache the session resolves to
-// — the process-wide default unless WithProgramCache supplies a
-// private one. An empty dir detaches the store. Without this option,
-// the default cache still honors the MPERF_CACHE_DIR environment
-// variable.
-func WithArtifactDir(dir string) Option {
-	return func(c *config) { c.artifactDir = &dir }
-}
-
-// WithHierarchicalRoofline makes the roofline collector additionally
-// emit the hierarchical L1/L2/DRAM model (per-level bandwidth ceilings
-// and per-level arithmetic-intensity points) under the profile's
-// "hierarchical" key. The legacy single-ceiling roofline output is
-// byte-identical with or without this option —
-// TestHierarchicalRooflineInvariance pins that catalog-wide.
+// WithHierarchicalRoofline is a no-op: the roofline collector always
+// emits the hierarchical L1/L2/DRAM model under the profile's
+// "hierarchical" key.
+//
+// Deprecated: the hierarchical roofline is always on.
 func WithHierarchicalRoofline() Option {
-	return func(c *config) { c.hierRoof = true }
+	return func(*config) {}
 }
 
 // ExecStats aliases the VM's execution coverage accumulator so
@@ -177,7 +162,6 @@ type Session struct {
 	statEvents []isa.EventCode
 	statLabels []string
 	execStats  *vm.ExecStats
-	hierRoof   bool
 
 	// compiled/hits/diskHits track this session's traffic through the
 	// program cache; Session.Run reports the per-run delta as
@@ -207,13 +191,8 @@ func Open(platformName, workloadName string, opts ...Option) (*Session, error) {
 	if cache == nil {
 		cache = defaultCache()
 	}
-	if cfg.artifactDir != nil {
-		if err := cache.SetArtifactDir(*cfg.artifactDir); err != nil {
-			return nil, err
-		}
-	}
 	s := &Session{plat: plat, spec: spec, params: cfg.params, cache: cache,
-		sampleFreq: cfg.sampleFreq, execStats: cfg.execStats, hierRoof: cfg.hierRoof}
+		sampleFreq: cfg.sampleFreq, execStats: cfg.execStats}
 	names := cfg.statEvents
 	if len(names) == 0 {
 		names = defaultStatEvents

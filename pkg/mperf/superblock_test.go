@@ -44,9 +44,10 @@ func catalogSessionOn(t *testing.T, plat, name string, opts ...mperf.Option) *mp
 
 // catalogProfileJSON runs every collector mode over one workload and
 // returns the canonical Profile JSON, with the compile accounting
-// (which legitimately differs between cold and warm caches) stripped.
-// Collector errors stay in the JSON (its errors list), so the digests
-// pin them too.
+// (which legitimately differs between cold and warm caches) and the
+// hierarchical roofline (which postdates the recorded digests; see
+// TestHierarchicalRooflineInvariance) stripped. Collector errors stay
+// in the JSON (its errors list), so the digests pin them too.
 func catalogProfileJSON(t *testing.T, plat, name string) []byte {
 	t.Helper()
 	sess := catalogSessionOn(t, plat, name, mperf.WithProgramCache(mperf.NewProgramCache()))
@@ -54,12 +55,21 @@ func catalogProfileJSON(t *testing.T, plat, name string) []byte {
 	if err != nil {
 		t.Fatalf("%s/%s: run: %v", plat, name, err)
 	}
-	prof.CompileStats = nil
+	stripVolatile(prof)
 	b, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatalf("%s/%s: marshal: %v", plat, name, err)
 	}
 	return b
+}
+
+// stripVolatile removes what the catalog digests do not pin: the
+// compile accounting and the hierarchical roofline.
+func stripVolatile(prof *mperf.Profile) {
+	prof.CompileStats = nil
+	if prof.Roofline != nil {
+		prof.Roofline.Hierarchical = nil
+	}
 }
 
 // catalogDigests reads testdata/catalog_digests.txt: the sha256 of

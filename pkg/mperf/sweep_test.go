@@ -106,9 +106,7 @@ func TestShardedSweepSharesArtifactStore(t *testing.T) {
 	cacheDir := t.TempDir()
 	sweepDir := t.TempDir()
 	shardSpec := func() mperf.MatrixSpec {
-		spec := sweepSpec(mperf.NewProgramCache())
-		spec.Options = append(spec.Options, mperf.WithArtifactDir(cacheDir))
-		return spec
+		return sweepSpec(storeCache(t, cacheDir))
 	}
 	for shard := 0; shard < 2; shard++ {
 		if _, err := mperf.RunSweep(context.Background(), shardSpec(), mperf.SweepConfig{
@@ -126,9 +124,8 @@ func TestShardedSweepSharesArtifactStore(t *testing.T) {
 	}
 
 	// A fresh warm shard over the now-populated store compiles nothing.
-	warmCache := mperf.NewProgramCache()
+	warmCache := storeCache(t, cacheDir)
 	spec := sweepSpec(warmCache)
-	spec.Options = append(spec.Options, mperf.WithArtifactDir(cacheDir))
 	warmDir := t.TempDir()
 	if _, err := mperf.RunSweep(context.Background(), spec, mperf.SweepConfig{Dir: warmDir}); err != nil {
 		t.Fatal(err)

@@ -316,7 +316,7 @@ func TestChaosStdioWorkerPanic(t *testing.T) {
 // RateLimitError carrying its own refill time, and recovers once the
 // bucket does.
 func TestChaosRateLimit(t *testing.T) {
-	srv := newTestServer(t, mperfd.Config{Workers: 2, QueueDepth: 8, SessionRPS: 0.5, SessionBurst: 1})
+	srv := newTestServer(t, mperfd.Config{Workers: 2, QueueDepth: 8, SessionRPS: 0.5})
 	cs := srv.OpenSession("limited")
 	defer srv.CloseSession(cs.ID())
 

@@ -247,12 +247,29 @@ func retryable(resp *http.Response) (bool, time.Duration) {
 	return true, after
 }
 
+// retry runs attempt under the client's retry policy until it
+// succeeds, reports a failure that is not safe to retry, the context
+// dies, or the attempts run out. attempt returns whether its failure
+// may be retried and any server-directed wait (Retry-After), which
+// replaces the computed backoff. The last attempt's error is returned.
+func (c *Client) retry(ctx context.Context, attempt func() (retry bool, after time.Duration, err error)) error {
+	attempts := max(1, c.Retry.MaxAttempts)
+	for n := 0; ; n++ {
+		retry, after, err := attempt()
+		if err == nil || !retry || ctx.Err() != nil || n+1 >= attempts {
+			return err
+		}
+		if err := sleepCtx(ctx, c.Retry.Delay(n, after)); err != nil {
+			return err
+		}
+	}
+}
+
 // doRetry issues the request under the client's retry policy:
 // connection failures and retryable statuses back off (honouring
-// Retry-After) and try again until the attempts or the context run
-// out. Requests against the daemon are pure computations, so retrying
-// a POST is safe. The returned response, when non-nil, is the last
-// attempt's and may still be a failure status the caller must map.
+// Retry-After) and try again. Requests against the daemon are pure
+// computations, so retrying a POST is safe. The returned response may
+// still be a non-retryable failure status the caller must map.
 func (c *Client) doRetry(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var data []byte
 	if body != nil {
@@ -261,45 +278,29 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body any) (*h
 			return nil, err
 		}
 	}
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	var lastResp *http.Response
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			var after time.Duration
-			if lastResp != nil {
-				_, after = retryable(lastResp)
-				io.Copy(io.Discard, lastResp.Body)
-				lastResp.Body.Close()
-			}
-			if err := sleepCtx(ctx, c.Retry.Delay(attempt-1, after)); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := c.do(ctx, method, path, data)
+	var resp *http.Response
+	err := c.retry(ctx, func() (bool, time.Duration, error) {
+		r, err := c.do(ctx, method, path, data)
 		if err != nil {
 			// Transport failure before a response: the daemon may be
 			// restarting; worth another try unless the context died.
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return false, 0, ctx.Err()
 			}
-			lastErr, lastResp = err, nil
-			continue
+			return true, 0, err
 		}
-		if ok, _ := retryable(resp); !ok {
-			return resp, nil
+		if ok, after := retryable(r); ok {
+			io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+			return true, after, decodeStatus(r)
 		}
-		lastErr, lastResp = decodeStatus(resp), resp
+		resp = r
+		return false, 0, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if lastResp != nil {
-		// Out of attempts with a retryable status: report it typed.
-		io.Copy(io.Discard, lastResp.Body)
-		lastResp.Body.Close()
-	}
-	return nil, lastErr
+	return resp, nil
 }
 
 // sleepCtx waits d or until ctx dies — the backoff must never outlive
@@ -356,63 +357,38 @@ func decodeError(resp *http.Response) error {
 // retried, because the frames already handed to onFrame cannot be
 // unseen; callers fall back (see ProfileWithFallback).
 func (c *Client) Profile(ctx context.Context, req mperfd.ProfileRequest, onFrame func(mperfd.Frame)) (*mperf.Profile, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			var after time.Duration
-			if ra := (retryAfterError{}); errors.As(lastErr, &ra) {
-				after = ra.after
-			}
-			if err := sleepCtx(ctx, c.Retry.Delay(attempt-1, after)); err != nil {
-				return nil, err
-			}
-		}
-		prof, retry, err := c.profileOnce(ctx, req, onFrame)
-		if err == nil {
-			return prof, nil
-		}
-		if !retry || ctx.Err() != nil {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, errors.Unwrap(lastErr)
-}
-
-// retryAfterError carries a server-directed wait through the retry
-// loop alongside the typed rejection it decorates.
-type retryAfterError struct {
-	err   error
-	after time.Duration
-}
-
-func (e retryAfterError) Error() string { return e.err.Error() }
-func (e retryAfterError) Unwrap() error { return e.err }
-
-// profileOnce is one attempt of Profile. retry reports whether the
-// failure is safe to retry (nothing irreversible reached onFrame).
-func (c *Client) profileOnce(ctx context.Context, req mperfd.ProfileRequest, onFrame func(mperfd.Frame)) (prof *mperf.Profile, retry bool, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	var prof *mperf.Profile
+	err = c.retry(ctx, func() (retry bool, after time.Duration, err error) {
+		prof, retry, after, err = c.profileOnce(ctx, body, onFrame)
+		return retry, after, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return prof, nil
+}
+
+// profileOnce is one attempt of Profile. retry reports whether the
+// failure is safe to retry (nothing irreversible reached onFrame), and
+// after carries the server's Retry-After wait when it sent one.
+func (c *Client) profileOnce(ctx context.Context, body []byte, onFrame func(mperfd.Frame)) (prof *mperf.Profile, retry bool, after time.Duration, err error) {
 	resp, err := c.do(ctx, http.MethodPost, "/v1/profile", body)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
+			return nil, false, 0, ctx.Err()
 		}
-		return nil, true, retryAfterError{err: err}
+		return nil, true, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if ok, after := retryable(resp); ok {
-			return nil, true, retryAfterError{err: decodeStatus(resp), after: after}
+			return nil, true, after, decodeStatus(resp)
 		}
-		return nil, false, decodeError(resp)
+		return nil, false, 0, decodeError(resp)
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -424,7 +400,7 @@ func (c *Client) profileOnce(ctx context.Context, req mperfd.ProfileRequest, onF
 		}
 		var f mperfd.Frame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return nil, false, fmt.Errorf("mperfd: bad stream frame: %w", err)
+			return nil, false, 0, fmt.Errorf("mperfd: bad stream frame: %w", err)
 		}
 		sawFrame = true
 		if onFrame != nil {
@@ -437,26 +413,26 @@ func (c *Client) profileOnce(ctx context.Context, req mperfd.ProfileRequest, onF
 			if f.Busy || f.Code == "busy" {
 				// The daemon rejected after the stream opened; nothing
 				// ran, so the retry loop may take another swing.
-				return nil, true, retryAfterError{err: ErrBusy}
+				return nil, true, 0, ErrBusy
 			}
-			return nil, false, fmt.Errorf("mperfd: %s", f.Error)
+			return nil, false, 0, fmt.Errorf("mperfd: %s", f.Error)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		if !sawFrame {
-			return nil, true, retryAfterError{err: err}
+			return nil, true, 0, err
 		}
-		return nil, false, fmt.Errorf("%w: %v", ErrInterrupted, err)
+		return nil, false, 0, fmt.Errorf("%w: %v", ErrInterrupted, err)
 	}
 	if prof == nil {
 		// The stream ended cleanly but without a terminal frame: the
 		// daemon died mid-request.
 		if !sawFrame {
-			return nil, true, retryAfterError{err: fmt.Errorf("mperfd: stream ended without frames")}
+			return nil, true, 0, fmt.Errorf("mperfd: stream ended without frames")
 		}
-		return nil, false, fmt.Errorf("%w: stream ended without a terminal profile frame", ErrInterrupted)
+		return nil, false, 0, fmt.Errorf("%w: stream ended without a terminal profile frame", ErrInterrupted)
 	}
-	return prof, false, nil
+	return prof, false, 0, nil
 }
 
 // ProfileWithFallback is the CLI's daemon-first execution path as a

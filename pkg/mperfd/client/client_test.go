@@ -120,6 +120,43 @@ func TestProfileUnavailableTyped(t *testing.T) {
 	}
 }
 
+// TestMatrixRetriesBusy drives the non-streaming retry path: one 429
+// carrying Retry-After, then a served sweep. The client must wait the
+// server-directed second (far above fastRetry's backoff), retry once,
+// and decode the response.
+func TestMatrixRetriesBusy(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/matrix" {
+			t.Errorf("request to %s, want /v1/matrix", r.URL.Path)
+		}
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(mperfd.MatrixResponse{
+			Cells: []mperf.MatrixCell{{Platform: "x60", Workload: "dot"}},
+		})
+	}))
+	defer ts.Close()
+
+	start := time.Now()
+	res, err := newClient(ts).Matrix(context.Background(), mperfd.MatrixRequest{Workloads: []string{"dot"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < time.Second {
+		t.Errorf("retried after %v, want the server's 1s Retry-After", elapsed)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("server saw %d attempts, want 2", got)
+	}
+	if len(res.Cells) != 1 || res.Cells[0].Workload != "dot" {
+		t.Fatalf("decoded cells %+v, want the served dot cell", res.Cells)
+	}
+}
+
 // TestProfileContextBoundsRetries: the caller's deadline cuts the
 // retry loop short — the backoff never outlives the context.
 func TestProfileContextBoundsRetries(t *testing.T) {

@@ -123,11 +123,9 @@ type Config struct {
 	SessionMaxInFlight int
 	// SessionRPS rate-limits each client session to this many requests
 	// per second via a token bucket (0 = unlimited). Exceeding it
-	// rejects with a RateLimitError.
+	// rejects with a RateLimitError. The bucket holds max(1, SessionRPS)
+	// tokens.
 	SessionRPS float64
-	// SessionBurst is the rate limiter's bucket size (default
-	// max(1, ceil(SessionRPS))).
-	SessionBurst int
 }
 
 // Server is the daemon core: client sessions, the bounded request
@@ -142,7 +140,6 @@ type Server struct {
 	maxTimeout time.Duration
 	sessQuota  int64
 	sessRPS    float64
-	sessBurst  float64
 
 	mu       sync.Mutex
 	draining bool
@@ -207,13 +204,6 @@ func New(cfg Config) *Server {
 	}
 	if s.maxTimeout <= 0 {
 		s.maxTimeout = DefaultMaxRequestTimeout
-	}
-	s.sessBurst = float64(cfg.SessionBurst)
-	if s.sessBurst <= 0 && s.sessRPS > 0 {
-		s.sessBurst = s.sessRPS
-		if s.sessBurst < 1 {
-			s.sessBurst = 1
-		}
 	}
 	s.queue = make(chan *job, s.queueCap)
 	for i := 0; i < s.workers; i++ {

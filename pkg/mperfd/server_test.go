@@ -145,6 +145,48 @@ func TestHTTPProfileStream(t *testing.T) {
 	}
 }
 
+// TestServedRooflineIsHierarchical pins that a daemon-served roofline
+// profile carries the hierarchical L1/L2/DRAM view and is bit-identical
+// to the in-process run of the same request: the request sizing has no
+// knob that could drop it.
+func TestServedRooflineIsHierarchical(t *testing.T) {
+	srv := newTestServer(t, mperfd.Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := mperfd.ProfileRequest{
+		Platform:   "x60",
+		Workload:   "stream_add",
+		Collectors: []string{"roofline"},
+		Sizing:     mperfd.Sizing{Elems: 2048},
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/profile", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readFrames(t, resp.Body)
+	if len(frames) == 0 {
+		t.Fatal("no frames")
+	}
+	final := frames[len(frames)-1]
+	if final.Type != "profile" || final.Profile == nil {
+		t.Fatalf("terminal frame: %+v, want a profile", final)
+	}
+	if err := final.Profile.Err(); err != nil {
+		t.Fatalf("served profile degraded: %v", err)
+	}
+	r := final.Profile.Roofline
+	if r == nil || r.Hierarchical == nil || len(r.Hierarchical.Ceilings) != 3 || len(r.Hierarchical.Points) == 0 {
+		t.Fatalf("served roofline lacks the hierarchical view: %+v", r)
+	}
+	served := marshalNoCompileStats(t, final.Profile)
+	if want := inProcessProfile(t, req); !bytes.Equal(served, want) {
+		t.Errorf("served roofline diverged from in-process run:\nserved: %s\nlocal:  %s", served, want)
+	}
+}
+
 // TestHTTPValidation: name typos are clean 400s, before any streaming.
 func TestHTTPValidation(t *testing.T) {
 	srv := newTestServer(t, mperfd.Config{Workers: 1, QueueDepth: 2})
@@ -196,10 +238,13 @@ func (blockCollector) Collect(s *mperf.Session, p *mperf.Profile) error {
 	if err != nil {
 		return err
 	}
-	blockState.started <- "x"
+	// Capture the release channel before announcing the start: once
+	// the token is out, unblockAll may swap the channel, and a collector
+	// that read it afterwards would wait on the fresh one forever.
 	blockState.mu.Lock()
 	release := blockState.release
 	blockState.mu.Unlock()
+	blockState.started <- "x"
 	<-release
 	m.Release()
 	blockState.released <- "x"

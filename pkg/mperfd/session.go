@@ -115,7 +115,7 @@ func (s *Server) OpenSession(name string) *ClientSession {
 		maxInFlight: s.sessQuota,
 	}
 	if s.sessRPS > 0 {
-		cs.bucket = newTokenBucket(s.sessRPS, s.sessBurst)
+		cs.bucket = newTokenBucket(s.sessRPS, max(1, s.sessRPS))
 	}
 	s.mu.Lock()
 	s.nextID++
