@@ -20,6 +20,7 @@ import (
 	"mperf/internal/isa"
 	"mperf/internal/kernel"
 	"mperf/internal/miniperf"
+	"mperf/internal/mperfrt"
 	"mperf/internal/passes"
 	"mperf/internal/platform"
 	"mperf/internal/roofline"
@@ -239,10 +240,23 @@ func BenchmarkAblationTwoPhase(b *testing.B) {
 			b.Fatal("region missing")
 		}
 		twoPhase = lr.GFLOPS
-		// Single-run estimate: counts and time both from phase 2.
-		instSec := float64(lr.InstrumentedCycles) / m.FreqHz()
+		// Single-run estimate: counts and time both from one timed
+		// instrumented run. Phase 2 runs untimed, so time that run
+		// separately, from cold caches like phase 1.
+		rt := mperfrt.New(func() uint64 { return m.Hart().Core.Cycles() })
+		m.SetRuntime(rt)
+		m.Hart().Core.Mem().Reset()
+		rt.SetInstrumented(true)
+		if _, err := m.Run("matmul", aArg, bArg, cArg, uint64(n)); err != nil {
+			b.Fatal(err)
+		}
+		inst, ok := rt.Stats(lr.Meta.ID)
+		if !ok {
+			b.Fatal("region missing from the timed instrumented run")
+		}
+		instSec := float64(inst.Cycles) / m.FreqHz()
 		singleRun = float64(lr.Counts.FPOps) / instSec / 1e9
-		overhead = lr.OverheadRatio()
+		overhead = float64(inst.Cycles) / float64(lr.BaselineCycles)
 	}
 	b.ReportMetric(twoPhase, "GFLOPS-two-phase")
 	b.ReportMetric(singleRun, "GFLOPS-single-run")

@@ -26,7 +26,8 @@ type LoopStats struct {
 
 	// Cycles spent inside the region (sum over activations), from the
 	// clock at loop_begin/loop_end. Meaningful in baseline runs for
-	// timing and in instrumented runs for overhead measurement.
+	// timing and in timed instrumented runs for overhead measurement;
+	// zero in a functional run, whose clock stands still.
 	Cycles uint64
 
 	// Per-cache-level traffic observed inside the region (sum over

@@ -15,11 +15,10 @@ type LoopResult struct {
 	// BaselineCycles is the region's cost with instrumentation off
 	// (phase 1) — the timing source.
 	BaselineCycles uint64
-	// InstrumentedCycles is the phase-2 cost, used only to quantify
-	// instrumentation overhead (§4.4).
-	InstrumentedCycles uint64
 
-	// Counts are the IR-level metrics from the instrumented clone.
+	// Counts are the IR-level metrics from the instrumented clone. The
+	// instrumented phase runs untimed, so its Cycles and traffic fields
+	// are zero.
 	Counts mperfrt.LoopStats
 
 	// Derived metrics (from baseline time + instrumented counts).
@@ -35,14 +34,6 @@ type LoopResult struct {
 	L1Bytes   uint64
 	L2Bytes   uint64
 	DRAMBytes uint64
-}
-
-// OverheadRatio reports instrumented/baseline time.
-func (r *LoopResult) OverheadRatio() float64 {
-	if r.BaselineCycles == 0 {
-		return 0
-	}
-	return float64(r.InstrumentedCycles) / float64(r.BaselineCycles)
 }
 
 // RunResult is the outcome of a two-phase session.
@@ -66,12 +57,14 @@ func (r *RunResult) LoopByFunc(name string) (*LoopResult, bool) {
 // are correlated per region. The workload must be deterministic across
 // runs — limitation four of §4.4.
 //
-// Both phases execute on the one machine passed in (caches reset
-// between phases, mirroring the real workflow's separate process
-// executions), so callers pay a single instantiation; the machine
-// itself typically comes off a cached instrumented vm.Program, which
-// replaces the per-phase rebuilds of the pre-cache workflow with one
-// compile per (platform pipeline, workload) pair.
+// Only phase 1 is timed. Phase 2 counts FLOPs and bytes from the IR
+// and nothing reads its time, so it runs functionally
+// (vm.RunFunctional): the core is left exactly as phase 1 left it.
+// Both phases execute on the one machine passed in, so callers pay a
+// single instantiation; the machine itself typically comes off a cached
+// instrumented vm.Program, which replaces the per-phase rebuilds of the
+// pre-cache workflow with one compile per (platform pipeline, workload)
+// pair.
 func RunTwoPhase(m *vm.Machine, entry string, args []uint64) (*RunResult, error) {
 	rt := mperfrt.New(func() uint64 { return m.Hart().Core.Cycles() })
 	// The traffic probe reads the hierarchy's cumulative per-level byte
@@ -83,8 +76,8 @@ func RunTwoPhase(m *vm.Machine, entry string, args []uint64) (*RunResult, error)
 	})
 	m.SetRuntime(rt)
 
-	// Phase 1: baseline. Each phase starts with cold caches, as the
-	// separate process executions of the real workflow would. Per-level
+	// Phase 1: baseline. It starts with cold caches, as a separate
+	// process execution of the real workflow would. Per-level
 	// traffic is attributed here, on the faithful (uninstrumented) run.
 	m.Hart().Core.Mem().Reset()
 	rt.SetInstrumented(false)
@@ -100,11 +93,10 @@ func RunTwoPhase(m *vm.Machine, entry string, args []uint64) (*RunResult, error)
 		traffic[st.LoopID] = [3]uint64{st.L1Bytes, st.L2Bytes, st.DRAMBytes}
 	}
 
-	// Phase 2: instrumented.
-	m.Hart().Core.Mem().Reset()
+	// Phase 2: instrumented, untimed.
 	rt.Reset()
 	rt.SetInstrumented(true)
-	if _, err := m.Run(entry, args...); err != nil {
+	if _, err := m.RunFunctional(entry, args...); err != nil {
 		return nil, fmt.Errorf("roofline: instrumented run: %w", err)
 	}
 
@@ -124,14 +116,13 @@ func RunTwoPhase(m *vm.Machine, entry string, args []uint64) (*RunResult, error)
 		}
 		tr := traffic[st.LoopID]
 		lr := LoopResult{
-			Meta:               meta,
-			BaselineCycles:     base,
-			InstrumentedCycles: st.Cycles,
-			Counts:             *st,
-			Seconds:            float64(base) / freq,
-			L1Bytes:            tr[0],
-			L2Bytes:            tr[1],
-			DRAMBytes:          tr[2],
+			Meta:           meta,
+			BaselineCycles: base,
+			Counts:         *st,
+			Seconds:        float64(base) / freq,
+			L1Bytes:        tr[0],
+			L2Bytes:        tr[1],
+			DRAMBytes:      tr[2],
 		}
 		if lr.Seconds > 0 {
 			lr.GFLOPS = float64(st.FPOps) / lr.Seconds / 1e9

@@ -497,8 +497,8 @@ func execCall(m *Machine, fr *frame, st *step) *blockPlan {
 	// call because the callee reuses the pending buffers.
 	m.flushPending()
 	savedTmpl, savedFrom, savedSalt := m.pendTmpl, m.pendFrom, m.pendSalt
-	// The scratch buffer is safe to reuse across nested calls: the
-	// callee copies the arguments into its own register file before
+	// The scratch buffers are safe to reuse across nested calls: the
+	// callee copies the arguments into its own register files before
 	// executing any instruction.
 	cargs := m.callScratch
 	if cap(cargs) < len(st.args) {
@@ -506,10 +506,20 @@ func execCall(m *Machine, fr *frame, st *step) *blockPlan {
 		m.callScratch = cargs
 	}
 	cargs = cargs[:len(st.args)]
-	for j := range st.args {
-		cargs[j] = m.scalar(fr, &st.args[j])
+	for len(m.callVecScratch) < len(st.args) {
+		m.callVecScratch = append(m.callVecScratch, nil)
 	}
-	res, vres := m.call(st.callee, cargs)
+	vargs := m.callVecScratch
+	for j := range st.args {
+		a := &st.args[j]
+		if a.isVec {
+			vargs[j] = append(vargs[j][:0], m.vector(fr, a)...)
+			cargs[j] = 0
+			continue
+		}
+		cargs[j] = m.scalar(fr, a)
+	}
+	res, vres := m.call(st.callee, cargs, vargs)
 	m.pendTmpl, m.pendFrom, m.pendSalt = savedTmpl, savedFrom, savedSalt
 	m.pendN = 0
 	if st.dst >= 0 {

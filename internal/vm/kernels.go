@@ -439,7 +439,9 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 						op.cnt[0], op.cnt[1], op.cnt[2], op.cnt[3])
 				}
 			}
-			core.ExecRegion(tmpl, dyn, fr.salt)
+			if !m.functional {
+				core.ExecRegion(tmpl, dyn, fr.salt)
+			}
 			iters++
 			if !taken {
 				break

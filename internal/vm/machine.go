@@ -132,10 +132,12 @@ type Machine struct {
 
 	vlenBytes int
 
-	// callScratch carries call arguments into m.call without a per-call
-	// allocation (callees copy it before executing, so reuse across
-	// nested calls is safe).
-	callScratch []uint64
+	// callScratch and callVecScratch carry scalar and vector call
+	// arguments into m.call without a per-call allocation (callees copy
+	// them before executing, so reuse across nested calls is safe).
+	// callVecScratch is indexed by argument position.
+	callScratch    []uint64
+	callVecScratch [][]uint64
 	// phiScratch snapshots phi parallel-copy sources (scalars and
 	// flattened vector lanes) before any destination is written.
 	phiScratch []uint64
@@ -153,6 +155,11 @@ type Machine struct {
 	// kernDyn is the specialized loop kernels' per-iteration dyn
 	// buffer (kernels.go), separate from the pending-region buffers.
 	kernDyn []machine.RegionDyn
+
+	// functional is set for the duration of a RunFunctional call:
+	// regions still execute their semantics but are not handed to the
+	// core, so no clock, statistic or cache state moves.
+	functional bool
 
 	// Coverage counters for -vm-stats (kept out of Profile output).
 	kernelHits  uint64
@@ -330,7 +337,24 @@ func (m *Machine) LoadByte(addr uint64) (byte, error) {
 
 // Run executes the named function with raw-bits scalar arguments and
 // returns the raw-bits result.
-func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
+func (m *Machine) Run(name string, args ...uint64) (uint64, error) {
+	return m.run(name, args)
+}
+
+// RunFunctional is Run without the timing model: the function executes
+// with full semantics, the step budget, traps, loop kernels and runtime
+// intrinsics, but no region reaches the core, so its clock, Stats,
+// predictor, scoreboard, store buffer, caches and DRAM channel are left
+// exactly as they were. Runtime clock reads see a stopped clock. It
+// serves runs that only count, such as the roofline's instrumented
+// phase.
+func (m *Machine) RunFunctional(name string, args ...uint64) (uint64, error) {
+	m.functional = true
+	defer func() { m.functional = false }()
+	return m.run(name, args)
+}
+
+func (m *Machine) run(name string, args []uint64) (result uint64, err error) {
 	f := m.prog.mod.FuncByName(name)
 	if f == nil {
 		return 0, fmt.Errorf("vm: no function @%s", name)
@@ -341,6 +365,9 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 	}
 	if len(f.Params) != len(args) {
 		return 0, fmt.Errorf("vm: @%s takes %d args, got %d", name, len(f.Params), len(args))
+	}
+	if len(fp.vecParams) > 0 {
+		return 0, fmt.Errorf("vm: @%s takes vector arguments; runs pass scalars only", name)
 	}
 	// Traps unwind the Go stack past every active m.call; the frame
 	// stack and alloca stack are restored wholesale here instead of via
@@ -372,17 +399,18 @@ func (m *Machine) Run(name string, args ...uint64) (result uint64, err error) {
 			panic(r)
 		}
 	}()
-	res, _ := m.call(fp, args)
+	res, _ := m.call(fp, args, nil)
 	return res, nil
 }
 
 // call executes one function activation: runtime intrinsics directly,
-// everything else through the region loop (callFused).
-func (m *Machine) call(fp *funcPlan, args []uint64) (uint64, []uint64) {
+// everything else through the region loop (callFused). vargs holds the
+// vector arguments by argument position; scalar positions are unused.
+func (m *Machine) call(fp *funcPlan, args []uint64, vargs [][]uint64) (uint64, []uint64) {
 	if fp.intrinsic != "" {
 		return m.intrinsicCall(fp.intrinsic, args), nil
 	}
-	return m.callFused(fp, args)
+	return m.callFused(fp, args, vargs)
 }
 
 // phiMoves performs the parallel copies for the edge prev -> next.

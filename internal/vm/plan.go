@@ -122,6 +122,10 @@ type funcPlan struct {
 	index int
 	// intrinsic is non-empty for runtime-dispatched declarations.
 	intrinsic string
+	// vecParams lists the registers of the vector-typed parameters
+	// (a parameter's register is its argument position), which a call
+	// fills from its vector arguments.
+	vecParams []int32
 }
 
 // planner compiles a module into executable plans.
@@ -181,6 +185,9 @@ func (p *planner) planFunc(f *ir.Func) error {
 	next := int32(0)
 	for _, prm := range f.Params {
 		regs[prm] = next
+		if prm.Type().IsVector() {
+			fp.vecParams = append(fp.vecParams, next)
+		}
 		next++
 	}
 	for _, b := range f.Blocks {

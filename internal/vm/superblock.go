@@ -138,13 +138,15 @@ func chainContains(chain []*blockPlan, bp *blockPlan) bool {
 // region exits, before calls (so callee-side clock reads and charges
 // follow the caller's in program order), per block while sampling, and
 // from Run's trap recovery (the pending prefix is exactly the uops that
-// completed before the trap).
+// completed before the trap). A functional run only advances the cursor.
 func (m *Machine) flushPending() {
 	if m.pendN == 0 {
 		return
 	}
 	n := m.pendFrom + m.pendN
-	m.hart.Core.ExecRegion(m.pendTmpl[m.pendFrom:n], m.pendDyn[m.pendFrom:n], m.pendSalt)
+	if !m.functional {
+		m.hart.Core.ExecRegion(m.pendTmpl[m.pendFrom:n], m.pendDyn[m.pendFrom:n], m.pendSalt)
+	}
 	m.pendFrom, m.pendN = n, 0
 }
 
@@ -158,7 +160,7 @@ func (m *Machine) flushPending() {
 // are skipped: a sample must attribute the cycles before the edge to
 // the block that spent them. Per-block step budgeting is the same
 // either way.
-func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
+func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint64, []uint64) {
 	if len(m.frames) >= maxCallDepth {
 		trapf("call depth exceeded in @%s", fp.fn.FName)
 	}
@@ -179,6 +181,10 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64) (uint64, []uint64) {
 	fr.curPC = fp.base
 	fr.retVal, fr.retVec = 0, nil
 	copy(fr.regs, args)
+	for _, r := range fp.vecParams {
+		v := vargs[r]
+		copy(fr.vregDst(r, len(v)), v)
+	}
 	m.frames = append(m.frames, fr)
 
 	core := m.hart.Core

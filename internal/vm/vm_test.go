@@ -131,6 +131,68 @@ func TestRecursiveCall(t *testing.T) {
 	}
 }
 
+// TestVectorCallArguments pins that vector arguments reach the
+// callee's vector registers: the instrumentation pass outlines loops
+// whose hoisted vector accumulators become vector parameters (i5
+// dot). @dotk(a, k, b) returns k·Σ a[l]·b[l] over f32x8 vectors loaded
+// from memory, and @drive calls it twice with the vectors in different
+// argument positions, so a stale scratch slot would show.
+func TestVectorCallArguments(t *testing.T) {
+	const lanes = 8
+	vec := ir.VecOf(ir.F32, lanes)
+	mod := ir.NewModule("t")
+	mod.NewGlobal("va", ir.F32, lanes)
+	mod.NewGlobal("vb", ir.F32, lanes)
+
+	dotk := mod.NewFunc("dotk", ir.F32,
+		ir.NewParam("a", vec), ir.NewParam("k", ir.F32), ir.NewParam("b", vec))
+	b := ir.NewBuilder(dotk)
+	b.NewBlock("entry")
+	sum := b.Reduce(b.FMul(dotk.Params[0], dotk.Params[2]))
+	b.Ret(b.FMul(sum, dotk.Params[1]))
+
+	drive := mod.NewFunc("drive", ir.F32, ir.NewParam("pa", ir.Ptr), ir.NewParam("pb", ir.Ptr))
+	b = ir.NewBuilder(drive)
+	b.NewBlock("entry")
+	va := b.Load(vec, drive.Params[0])
+	vb := b.Load(vec, drive.Params[1])
+	r1 := b.Call(dotk, va, ir.ConstFloat(ir.F32, 2), vb)
+	r2 := b.Call(dotk, vb, ir.ConstFloat(ir.F32, 1), vb)
+	b.Ret(b.FAdd(r1, r2))
+
+	m, err := New(platform.I5_1135G7(), mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, _ := m.GlobalAddr("va")
+	pb, _ := m.GlobalAddr("vb")
+	var dotAB, dotBB float32
+	for l := 0; l < lanes; l++ {
+		x, y := float32(l+1), float32(2*l-3)
+		m.WriteF32(pa+uint64(4*l), x)
+		m.WriteF32(pb+uint64(4*l), y)
+		dotAB += x * y
+		dotBB += y * y
+	}
+	want := 2*dotAB + dotBB
+	run := func() float32 {
+		bits, err := m.Run("drive", pa, pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float32frombits(uint32(bits))
+	}
+	if got := run(); got != want {
+		t.Errorf("drive = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { run() }); allocs > 0 {
+		t.Errorf("calls with vector arguments allocated %.1f times, want 0", allocs)
+	}
+	if _, err := m.Run("dotk", 0, 0, 0); err == nil || !strings.Contains(err.Error(), "vector arguments") {
+		t.Errorf("Run of a function with vector parameters: err = %v", err)
+	}
+}
+
 func TestSwitchDispatch(t *testing.T) {
 	mod := ir.NewModule("t")
 	f := mod.NewFunc("sw", ir.I64, ir.NewParam("x", ir.I64))

@@ -118,16 +118,16 @@ func checkDigest(t *testing.T, digests map[string]string, plat, name string, pro
 	}
 }
 
-// digestPlatforms are the platforms the catalog digests cover: one
-// in-order and one out-of-order pipeline.
-var digestPlatforms = []string{"x60", "i5"}
+// digestPlatforms are the platforms the catalog digests cover: all
+// four, so both in-order (X60, U74) and both out-of-order (i5, C910)
+// pipelines are pinned.
+var digestPlatforms = []string{"x60", "i5", "c910", "u74"}
 
 // TestSuperblockInvariance is the catalog acceptance check of the
-// region interpreter: for every workload in the catalog, on the X60
-// (in-order) and the i5 (out-of-order), the Profile JSON across
-// counting (stat), overflow sampling (record), roofline and topdown
-// collection must hash to the digest recorded while the per-instruction
-// loop and the superblock loop produced identical profiles.
+// region interpreter: for every workload in the catalog, on every
+// platform, the Profile JSON across counting (stat), overflow sampling
+// (record), roofline and topdown collection must hash to its recorded
+// digest (see testdata/catalog_digests.txt for when each was recorded).
 func TestSuperblockInvariance(t *testing.T) {
 	digests := catalogDigests(t)
 	if want := len(digestPlatforms) * len(workloads.Names()); len(digests) != want {
@@ -206,6 +206,36 @@ func TestKernelCoverage(t *testing.T) {
 			if hits, iters := st.KernelHits.Load(), st.KernelIters.Load(); hits == 0 || iters == 0 {
 				t.Errorf("specialized kernels never engaged: hits=%d iters=%d (steps=%d)",
 					hits, iters, st.TotalSteps.Load())
+			}
+		})
+	}
+	// The Fig 4 keys: the roofline collector on the 96×96 blocked matmul.
+	// Both phases of the two-phase run execute the same instructions and
+	// kernels whether or not the instrumented phase is timed, so these
+	// counts pin what runs independently of what is charged.
+	for _, tc := range []struct {
+		plat               string
+		hits, iters, steps uint64
+	}{
+		{"x60", 55296, 442368, 10631144},
+		{"c910", 55296, 442368, 10631144},
+		{"i5", 6912, 221184, 2205416},
+	} {
+		t.Run("roofline/"+tc.plat, func(t *testing.T) {
+			var st mperf.ExecStats
+			sess := catalogSessionOn(t, tc.plat, "matmul", mperf.WithMatmulSize(96, 32),
+				mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st))
+			prof, err := sess.Run(mperf.MustCollectors("roofline")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prof.Err(); err != nil {
+				t.Fatal(err)
+			}
+			hits, iters, steps := st.KernelHits.Load(), st.KernelIters.Load(), st.TotalSteps.Load()
+			if hits != tc.hits || iters != tc.iters || steps != tc.steps {
+				t.Errorf("kernel hits=%d iters=%d steps=%d, want %d/%d/%d",
+					hits, iters, steps, tc.hits, tc.iters, tc.steps)
 			}
 		})
 	}
