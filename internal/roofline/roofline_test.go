@@ -2,8 +2,10 @@ package roofline
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mperf/internal/ir"
 	"mperf/internal/mperfrt"
@@ -121,6 +123,12 @@ func TestRunTwoPhaseOnDot(t *testing.T) {
 	if lr.BaselineCycles != 56857 {
 		t.Errorf("baseline cycles = %d, want 56857", lr.BaselineCycles)
 	}
+	// Phase 2 ran on a sibling machine whose steps fold into m on
+	// release: the total is what both phases counted when they ran
+	// one after the other on m.
+	if got := m.Steps(); got != 35894 {
+		t.Errorf("steps after both phases = %d, want 35894", got)
+	}
 	// Instrumentation adds overhead; two-phase keeps the timing from
 	// the baseline run (§4.4 mitigation). Phase 2 runs untimed, so the
 	// overhead is measured by a timed instrumented run of its own; the
@@ -147,6 +155,77 @@ func TestRunTwoPhaseOnDot(t *testing.T) {
 	pts := res.Points()
 	if len(pts) != 1 || pts[0].Source != "miniperf (IR)" {
 		t.Errorf("points wrong: %+v", pts)
+	}
+}
+
+// TestRunTwoPhaseJoinsSiblingOnBaselineTrap: when phase 1 traps,
+// RunTwoPhase still waits for the concurrent phase 2, releases its
+// sibling machine (folding its steps into m) and reports the baseline
+// error first, leaving no goroutine behind.
+func TestRunTwoPhaseJoinsSiblingOnBaselineTrap(t *testing.T) {
+	const n, budget = 4096, 2000
+	m := buildDotMachine(t, n)
+	m.MaxSteps = budget
+	da, _ := m.GlobalAddr("da")
+	db, _ := m.GlobalAddr("db")
+	before := runtime.NumGoroutine()
+	_, err := RunTwoPhase(m, "dot", []uint64{da, db, uint64(n)})
+	if err == nil || !strings.HasPrefix(err.Error(), "roofline: baseline run:") ||
+		!strings.Contains(err.Error(), "step budget exceeded") {
+		t.Fatalf("err = %v, want the baseline run's step-budget trap", err)
+	}
+	// Both phases ran to the budget; the second count can only come
+	// from the released sibling.
+	if got := m.Steps(); got <= 2*budget {
+		t.Errorf("steps = %d, want both phases' (> %d): sibling not released into m", got, 2*budget)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d: phase 2 left behind", before, after)
+	}
+}
+
+// TestCorrelateRejectsInvocationMismatch: a region entered a different
+// number of times in the two phases cannot have its counts set against
+// phase 1's time; neither can one only a single phase entered.
+func TestCorrelateRejectsInvocationMismatch(t *testing.T) {
+	meta := func(id int64) (ir.LoopMeta, bool) {
+		return ir.LoopMeta{ID: id, FuncName: "kernel"}, id != 9
+	}
+	stats := func(invocations ...uint64) []*mperfrt.LoopStats {
+		var out []*mperfrt.LoopStats
+		for i, n := range invocations {
+			if n > 0 {
+				out = append(out, &mperfrt.LoopStats{LoopID: int64(i + 1), Invocations: n, Cycles: 1000, FPOps: 10 * n})
+			}
+		}
+		return out
+	}
+	res, err := correlate(meta, 1e9, stats(3, 2), stats(3, 2))
+	if err != nil || len(res.Loops) != 2 || res.Loops[0].Counts.FPOps != 30 || res.Loops[1].BaselineCycles != 1000 {
+		t.Fatalf("matching phases: res=%+v err=%v", res, err)
+	}
+	for _, tc := range []struct {
+		name           string
+		timed, counted []*mperfrt.LoopStats
+	}{
+		{"3 then 4", stats(3, 2), stats(4, 2)},
+		{"4 then 3", stats(4, 2), stats(3, 2)},
+		{"phase 2 only", stats(3), stats(3, 2)},
+		{"phase 1 only", stats(3, 2), stats(3)},
+	} {
+		if _, err := correlate(meta, 1e9, tc.timed, tc.counted); err == nil ||
+			!strings.Contains(err.Error(), "workload not deterministic") {
+			t.Errorf("%s: err = %v, want a non-determinism rejection", tc.name, err)
+		}
+	}
+	// Regions without loop metadata are skipped, not correlated.
+	unlisted := []*mperfrt.LoopStats{{LoopID: 9, Invocations: 1}}
+	if res, err := correlate(meta, 1e9, unlisted, nil); err != nil || len(res.Loops) != 0 {
+		t.Errorf("region without metadata: res=%+v err=%v", res, err)
 	}
 }
 

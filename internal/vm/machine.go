@@ -166,6 +166,9 @@ type Machine struct {
 	kernelIters uint64
 	statBase    uint64
 	execStats   *ExecStats
+	// origin is the machine a Sibling was made from; Release folds the
+	// coverage counters into it.
+	origin *Machine
 }
 
 // New compiles a verified module and instantiates it on a fresh hart of

@@ -42,11 +42,26 @@ type Program struct {
 	// result of a deterministic per-instance Seed.
 	image []byte
 
-	// memPool recycles instance memory between Release and NewMachine.
-	// Buffers in the pool are always fully zeroed below the releasing
-	// machine's dirty high-water mark, so a pooled instantiation is
-	// indistinguishable from a fresh allocation.
-	memPool sync.Pool
+	// memPool is the pool of instance memory shared by every program
+	// of this memSize (memPoolFor).
+	memPool *sync.Pool
+}
+
+// memPools recycles instance memory between Release and NewMachine,
+// one pool per memory size, shared across programs. Release zeroes
+// every byte the machine dirtied, and equal memSize implies equal
+// stackBase (the stack size is a constant), so a buffer released by
+// any program of that size is indistinguishable from a fresh
+// allocation for any other.
+var memPools sync.Map // uint64 memSize -> *sync.Pool
+
+// memPoolFor returns the shared instance-memory pool for size.
+func memPoolFor(size uint64) *sync.Pool {
+	p, _ := memPools.LoadOrStore(size, &sync.Pool{New: func() any {
+		b := make([]byte, size)
+		return &b
+	}})
+	return p.(*sync.Pool)
 }
 
 // Compile verifies, freezes and plans a module into an immutable
@@ -94,10 +109,7 @@ func compileModule(mod *ir.Module, verify bool) (*Program, error) {
 	}
 	sort.Slice(p.symbols, func(i, j int) bool { return p.symbols[i].base < p.symbols[j].base })
 
-	p.memPool.New = func() any {
-		b := make([]byte, p.memSize)
-		return &b
-	}
+	p.memPool = memPoolFor(p.memSize)
 	return p, nil
 }
 
@@ -136,9 +148,32 @@ func (p *Program) SetDataImage(img []byte) error {
 
 // NewMachine instantiates the program on a fresh hart of the platform.
 // Only mutable per-instance state is allocated (or recycled from the
-// program's pool): the memory image, stack, frame pools and PMU. The
-// compiled plans are shared with every other machine of this program.
+// pool of its memory size): the memory image, stack, frame pools and
+// PMU. The compiled plans are shared with every other machine of this
+// program.
 func NewMachine(p *Program, plat *platform.Platform) *Machine {
+	return newMachine(p, plat, p.image)
+}
+
+// Sibling instantiates m's program again on a fresh hart of m's
+// platform, for a run concurrent with m's own: the analogue of a
+// second process started from the same binary with the same input.
+// Its global data starts as a copy of m's, and its step budget is
+// what remains of m's. It has no ExecStats sink of its own; Release
+// folds its step and kernel counters into m instead, so m's Steps and
+// coverage count both runs exactly once. Release the sibling on the
+// goroutine that owns m, after the sibling's run has finished and
+// before m's own Release.
+func (m *Machine) Sibling() *Machine {
+	s := newMachine(m.prog, m.plat, m.mem[memBase:min(m.dirtyHigh, m.prog.stackBase)])
+	s.MaxSteps = m.MaxSteps - min(m.steps, m.MaxSteps)
+	s.origin = m
+	return s
+}
+
+// newMachine instantiates p with data as the initial content of the
+// global data region from memBase (shorter data leaves the rest zero).
+func newMachine(p *Program, plat *platform.Platform, data []byte) *Machine {
 	m := &Machine{
 		prog:      p,
 		plat:      plat,
@@ -152,25 +187,27 @@ func NewMachine(p *Program, plat *platform.Platform) *Machine {
 	m.memRef = memRef
 	m.mem = *memRef
 	m.stackTop = p.stackBase
-	m.dirtyHigh = memBase
-	if p.image != nil {
-		copy(m.mem[memBase:p.stackBase], p.image)
-		m.dirtyHigh = memBase + uint64(len(p.image))
-	}
+	m.dirtyHigh = memBase + uint64(copy(m.mem[memBase:p.stackBase], data))
 	m.framePools = make([][]*frame, p.numPlans)
 	return m
 }
 
-// Release returns the machine's instance memory to the program's pool,
-// zeroing only the region dirtied since instantiation (tracked as a
-// high-water mark over all stores), so sweeps stop paying a full
-// stack-sized memset per warm instantiation. The machine must not be
-// used after Release; releasing twice is a no-op.
+// Release returns the machine's instance memory to the pool of its
+// memory size, zeroing only the region dirtied since instantiation
+// (tracked as a high-water mark over all stores), so sweeps stop
+// paying a full stack-sized memset per warm instantiation. A sibling
+// folds its coverage counters into its origin machine. The machine
+// must not be used after Release; releasing twice is a no-op.
 func (m *Machine) Release() {
 	if m.mem == nil {
 		return
 	}
 	m.FlushExecStats()
+	if o := m.origin; o != nil {
+		o.steps += m.steps - m.statBase
+		o.kernelHits += m.kernelHits
+		o.kernelIters += m.kernelIters
+	}
 	hi := m.dirtyHigh
 	if hi > uint64(len(m.mem)) {
 		hi = uint64(len(m.mem))

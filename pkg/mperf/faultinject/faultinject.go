@@ -10,6 +10,8 @@
 //	collector.slow    delay a collector's completion (context-aware)
 //	collector.fail    typed error from a collector
 //	compile.fail      program build returns an error
+//	count.panic       panic inside the roofline's counting phase, on
+//	                  the goroutine it runs on beside the timed phase
 //	worker.panic      panic inside a daemon worker, mid-job
 //	queue.exhaust     the daemon queue reports full
 //	conn.drop         the HTTP stream drops mid-response
@@ -33,12 +35,14 @@ import (
 	"time"
 )
 
-// The fault points wired into pkg/mperf and pkg/mperfd.
+// The fault points wired into pkg/mperf, pkg/mperfd and the roofline
+// runner.
 const (
 	CollectorPanic = "collector.panic"
 	CollectorSlow  = "collector.slow"
 	CollectorFail  = "collector.fail"
 	CompileFail    = "compile.fail"
+	CountPanic     = "count.panic"
 	WorkerPanic    = "worker.panic"
 	QueueExhaust   = "queue.exhaust"
 	ConnDrop       = "conn.drop"
@@ -48,7 +52,7 @@ const (
 func Points() []string {
 	pts := []string{
 		CollectorPanic, CollectorSlow, CollectorFail,
-		CompileFail, WorkerPanic, QueueExhaust, ConnDrop,
+		CompileFail, CountPanic, WorkerPanic, QueueExhaust, ConnDrop,
 	}
 	sort.Strings(pts)
 	return pts

@@ -9,6 +9,7 @@ import (
 	"mperf/internal/platform"
 	"mperf/internal/workloads"
 	"mperf/pkg/mperf"
+	"mperf/pkg/mperf/faultinject"
 )
 
 func TestOpenResolvesRegistries(t *testing.T) {
@@ -157,6 +158,39 @@ func TestRooflineCollectorJSON(t *testing.T) {
 	}
 	if back.Roofline == nil || !reflect.DeepEqual(back.Roofline.Points, r.Points) {
 		t.Error("roofline points did not round-trip")
+	}
+}
+
+// TestRooflineCountPanicIsContained: a panic in the roofline's
+// counting phase, which runs on its own goroutine, is raised again on
+// the session's goroutine, so Session.Run contains it as a
+// *PanicError collector error instead of crashing the process, and the
+// other collectors still populate.
+func TestRooflineCountPanicIsContained(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	faultinject.Arm(faultinject.CountPanic, faultinject.Times(1))
+	sess, err := mperf.Open("x60", "matmul", mperf.WithMatmulSize(32, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sess.Run(mperf.MustCollectors("roofline", "stat")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Errors) != 1 {
+		t.Fatalf("profile errors = %+v, want exactly the roofline's", prof.Errors)
+	}
+	ce := prof.Errors[0]
+	if ce.Collector != "roofline" || !ce.Panic || ce.Stack == "" ||
+		!strings.Contains(ce.Message, faultinject.CountPanic) {
+		t.Errorf("collector error %+v: want the roofline's contained count.panic", ce)
+	}
+	if prof.Roofline != nil || prof.IPC == 0 {
+		t.Errorf("roofline %v, IPC %v: want no roofline and a populated stat", prof.Roofline, prof.IPC)
+	}
+	if got := faultinject.FireCount(faultinject.CountPanic); got != 1 {
+		t.Errorf("count.panic fired %d times, want 1", got)
 	}
 }
 
