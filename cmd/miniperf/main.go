@@ -237,10 +237,16 @@ func main() {
 			fail(err)
 		}
 	}
-	opts := []mperf.Option{
-		mperf.WithMatmulSize(*n, *tile),
-		mperf.WithSampleFreq(*freq),
+	// cfg is the run's one configuration: the in-process session and
+	// every daemon request carry the same value.
+	cfg := mperf.Config{
+		Events:       splitList(*events),
+		SampleFreqHz: *freq,
+		MatmulN:      *n,
+		MatmulTile:   *tile,
+		Elems:        *elems,
 	}
+	opts := []mperf.Option{mperf.WithConfig(cfg)}
 	// -vm-stats: diagnostic coverage counters, printed to stderr on
 	// exit and deliberately kept out of Profile output (profiles do not
 	// depend on cache state or kernel matching). Only in-process
@@ -254,12 +260,6 @@ func main() {
 				"miniperf: vm-stats: %d steps, %d kernel activations, %d kernel iterations\n",
 				execStats.TotalSteps.Load(), execStats.KernelHits.Load(), execStats.KernelIters.Load())
 		}()
-	}
-	if *elems > 0 {
-		opts = append(opts, mperf.WithElems(*elems))
-	}
-	if evs := splitList(*events); evs != nil {
-		opts = append(opts, mperf.WithStatEvents(evs...))
 	}
 
 	// daemon resolves the mperfd client to use, or nil for in-process
@@ -279,15 +279,6 @@ func main() {
 		}
 	}
 
-	// sizing renders the shared flags as daemon request knobs.
-	sizing := mperfd.Sizing{
-		Events:       splitList(*events),
-		SampleFreqHz: *freq,
-		MatmulN:      *n,
-		MatmulTile:   *tile,
-		Elems:        *elems,
-	}
-
 	// profileRequest renders the shared flags as a daemon request.
 	profileRequest := func(collectors []string) mperfd.ProfileRequest {
 		return mperfd.ProfileRequest{
@@ -295,7 +286,7 @@ func main() {
 			Workload:   *workload,
 			Collectors: collectors,
 			TimeoutMS:  requestTimeout.Milliseconds(),
-			Sizing:     sizing,
+			Sizing:     cfg,
 		}
 	}
 
@@ -472,6 +463,13 @@ func main() {
 		}
 
 	case "matrix":
+		spec := mperf.MatrixSpec{
+			Platforms:   splitList(*platforms),
+			Workloads:   splitList(*workloadList),
+			Collectors:  collectorNames,
+			Options:     opts,
+			Parallelism: *parallel,
+		}
 		if *sweepDir != "" {
 			shardIdx, shardCnt, err := parseShard(*shard)
 			if err != nil {
@@ -483,12 +481,7 @@ func main() {
 			// cells, leaving finished cells for a -resume run.
 			ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 			defer stopSignals()
-			rep, err := mperf.RunSweep(ctx, mperf.MatrixSpec{
-				Platforms:  splitList(*platforms),
-				Workloads:  splitList(*workloadList),
-				Collectors: collectorNames,
-				Options:    opts,
-			}, mperf.SweepConfig{
+			rep, err := mperf.RunSweep(ctx, spec, mperf.SweepConfig{
 				Dir: *sweepDir, ShardIndex: shardIdx, ShardCount: shardCnt, Resume: *resume,
 			})
 			if err != nil {
@@ -514,12 +507,12 @@ func main() {
 		served := false
 		if c := daemon(); c != nil {
 			res, err := c.Matrix(context.Background(), mperfd.MatrixRequest{
-				Platforms:   splitList(*platforms),
-				Workloads:   splitList(*workloadList),
-				Collectors:  collectorNames,
-				Parallelism: *parallel,
+				Platforms:   spec.Platforms,
+				Workloads:   spec.Workloads,
+				Collectors:  spec.Collectors,
+				Parallelism: spec.Parallelism,
 				TimeoutMS:   requestTimeout.Milliseconds(),
-				Sizing:      sizing,
+				Sizing:      cfg,
 			})
 			if err != nil {
 				// The daemon path is best-effort: a dead or overloaded
@@ -535,13 +528,7 @@ func main() {
 			}
 		}
 		if !served {
-			res, err := mperf.RunMatrix(mperf.MatrixSpec{
-				Platforms:   splitList(*platforms),
-				Workloads:   splitList(*workloadList),
-				Collectors:  collectorNames,
-				Options:     opts,
-				Parallelism: *parallel,
-			})
+			res, err := mperf.RunMatrix(spec)
 			if err != nil {
 				fail(err)
 			}

@@ -34,12 +34,12 @@ const (
 
 // SqliteConfig sizes the synthetic database workload.
 type SqliteConfig struct {
-	ProgLen  int // bytecode program length (ops per row)
-	Rows     int // rows scanned per query
-	Queries  int // queries per run
-	CellArea int // bytes of synthetic B-tree cell data
-	TextArea int // bytes of text scanned by LIKE
-	PatLen   int // LIKE pattern length
+	ProgLen  int `json:"prog_len"`  // bytecode program length (ops per row)
+	Rows     int `json:"rows"`      // rows scanned per query
+	Queries  int `json:"queries"`   // queries per run
+	CellArea int `json:"cell_area"` // bytes of synthetic B-tree cell data
+	TextArea int `json:"text_area"` // bytes of text scanned by LIKE
+	PatLen   int `json:"pat_len"`   // LIKE pattern length
 }
 
 // DefaultSqliteConfig returns a workload that runs in a few hundred
@@ -48,11 +48,19 @@ func DefaultSqliteConfig() SqliteConfig {
 	return SqliteConfig{ProgLen: 64, Rows: 300, Queries: 4, CellArea: 4096, TextArea: 4096, PatLen: 6}
 }
 
+// Validate rejects a configuration BuildSqliteSim cannot lay out.
+func (c SqliteConfig) Validate() error {
+	if c.ProgLen < 8 || c.Rows < 1 || c.Queries < 1 || c.CellArea < 0 || c.TextArea < 0 || c.PatLen < 0 {
+		return fmt.Errorf("workloads: sqlite config too small: %+v", c)
+	}
+	return nil
+}
+
 // BuildSqliteSim adds the full workload to the module and returns the
 // driver function `runQueries`.
 func BuildSqliteSim(mod *ir.Module, cfg SqliteConfig) (*ir.Func, error) {
-	if cfg.ProgLen < 8 || cfg.Rows < 1 || cfg.Queries < 1 {
-		return nil, fmt.Errorf("workloads: sqlite config too small: %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	mod.NewGlobal("bytecode", ir.I8, cfg.ProgLen)
 	mod.NewGlobal("cells", ir.I8, cfg.CellArea)

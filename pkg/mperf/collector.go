@@ -93,6 +93,10 @@ type statCollector struct{}
 func (statCollector) Name() string { return "stat" }
 
 func (statCollector) Collect(s *Session, p *Profile) error {
+	evs, err := s.cfg.statEvents()
+	if err != nil {
+		return err
+	}
 	m, err := s.NewMachine()
 	if err != nil {
 		return err
@@ -101,7 +105,7 @@ func (statCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
-	res, err := tool.Stat(s.statEvents, func() error { return s.spec.Run(m) })
+	res, err := tool.Stat(evs, func() error { return s.spec.Run(m) })
 	if err != nil {
 		return err
 	}
@@ -127,7 +131,7 @@ func (recordCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
-	rec, err := tool.Record(miniperf.RecordOptions{FreqHz: s.sampleFreq},
+	rec, err := tool.Record(miniperf.RecordOptions{FreqHz: s.cfg.SampleFreqHz},
 		func() error { return s.spec.Run(m) })
 	if err != nil {
 		return err

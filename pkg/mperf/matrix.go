@@ -12,10 +12,18 @@ type MatrixSpec struct {
 	Platforms  []string
 	Workloads  []string
 	Collectors []string
-	// Options apply to every cell's session (sizing, sample rate).
+	// Options apply to every cell's session (sizing, sample rate); a
+	// sweep manifest pins the Config they resolve to.
 	Options []Option
 	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallelism int
+}
+
+// Validate resolves the spec's names against the registries and checks
+// its options' Config, running nothing.
+func (spec MatrixSpec) Validate() error {
+	_, err := resolveMatrix(spec)
+	return err
 }
 
 // MatrixCell is one platform × workload result. Either Profile is
@@ -93,10 +101,10 @@ func Parallel(parallelism int, tasks ...func() error) error {
 }
 
 // RunMatrix sweeps platforms × workloads × collectors with a bounded
-// worker pool. Names are validated against the registries up front, so
-// a typo fails fast; per-cell failures (a platform that cannot sample,
-// a workload that cannot load) are recorded in the cell and never
-// abort the sweep. The result order is deterministic regardless of
+// worker pool. The spec is validated up front, so a typo or a bad size
+// fails fast; per-cell failures (a platform that cannot sample, a
+// workload that cannot load) are recorded in the cell and never abort
+// the sweep. The result order is deterministic regardless of
 // parallelism. Cells compile through the shared program cache (the
 // default one, or whatever WithProgramCache passes in Options), so
 // cells with the same plan key — every platform's unoptimized build of
@@ -105,10 +113,11 @@ func Parallel(parallelism int, tasks ...func() error) error {
 // records the split.
 func RunMatrix(spec MatrixSpec) (*MatrixResult, error) {
 	// Validate every name before spending any simulation time.
-	plats, wls, cols, err := resolveMatrix(spec)
+	man, err := resolveMatrix(spec)
 	if err != nil {
 		return nil, err
 	}
+	plats, wls, cols := man.Platforms, man.Workloads, man.Collectors
 
 	res := &MatrixResult{Cells: make([]MatrixCell, len(plats)*len(wls))}
 	for i, p := range plats {

@@ -47,6 +47,42 @@ func TestOpenUnknownNames(t *testing.T) {
 	}
 }
 
+// TestConfigIsTheOptions pins that WithConfig and the per-field
+// setters describe one value: the same sizing gives the same program
+// key, with the same params fingerprint as before Config existed, and
+// Open rejects negative or unbuildable sizes.
+func TestConfigIsTheOptions(t *testing.T) {
+	sq := workloads.SqliteConfig{ProgLen: 16, Rows: 4, Queries: 1, CellArea: 256, TextArea: 256, PatLen: 4}
+	viaSetters, err := mperf.Open("x60", "matmul", mperf.WithMatmulSize(16, 8), mperf.WithElems(512),
+		mperf.WithMemsetWords(256), mperf.WithSqliteConfig(sq), mperf.WithSampleFreq(9000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaConfig, err := mperf.Open("x60", "matmul", mperf.WithConfig(mperf.Config{
+		SampleFreqHz: 9000, MatmulN: 16, MatmulTile: 8, Elems: 512, MemsetWords: 256, Sqlite: &sq,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := viaSetters.ProgramKey(true, false), viaConfig.ProgramKey(true, false)
+	if a != b || viaConfig.SampleFreq() != 9000 {
+		t.Errorf("WithConfig key %+v (freq %d), setters key %+v", b, viaConfig.SampleFreq(), a)
+	}
+	if want := "sqlite=16.4.1.256.256.4 n=16 tile=8 elems=512 memset=256"; a.Params != want {
+		t.Errorf("params fingerprint %q, want %q", a.Params, want)
+	}
+	for name, opt := range map[string]mperf.Option{
+		"elems":        mperf.WithElems(-1),
+		"memset_words": mperf.WithMemsetWords(-8),
+		"matmul":       mperf.WithMatmulSize(-16, 8),
+		"sqlite":       mperf.WithSqliteConfig(workloads.SqliteConfig{Rows: 150, Queries: 3}),
+	} {
+		if _, err := mperf.Open("x60", "dot", opt); err == nil {
+			t.Errorf("%s: bad sizing accepted", name)
+		}
+	}
+}
+
 func TestWorkloadRegistryBuildsEveryEntry(t *testing.T) {
 	for _, name := range workloads.Names() {
 		sess, err := mperf.Open("x60", name,

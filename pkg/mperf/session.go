@@ -37,6 +37,7 @@ package mperf
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -77,57 +78,118 @@ var defaultStatEvents = []string{
 	"cache-references", "cache-misses",
 }
 
-// config collects the functional options before Open validates them.
-type config struct {
-	params     workloads.Params
-	sampleFreq uint64
-	statEvents []string
-	cache      *ProgramCache
-	execStats  *vm.ExecStats
+// Config is a run's configuration as data: workload sizing plus
+// collector tuning. Sessions, daemon requests (flat in the request
+// body), the CLI and sweep manifests all carry this one value. Zero
+// fields mean the workload registry's and collectors' defaults.
+type Config struct {
+	// Events selects the stat collector's event set by generalized
+	// name (see EventNames; default: the perf stat set).
+	Events []string `json:"events,omitempty"`
+	// SampleFreqHz is the record collector's -F (default 4000).
+	SampleFreqHz uint64 `json:"sample_freq_hz,omitempty"`
+	// MatmulN and MatmulTile size the tiled SGEMM (defaults 128/32).
+	MatmulN    int `json:"matmul_n,omitempty"`
+	MatmulTile int `json:"matmul_tile,omitempty"`
+	// Elems is the vector length of the streaming kernels.
+	Elems int `json:"elems,omitempty"`
+	// MemsetWords is the memset buffer length in 8-byte words.
+	MemsetWords int `json:"memset_words,omitempty"`
+	// Sqlite replaces the sqlite workload's sizing as a whole.
+	Sqlite *workloads.SqliteConfig `json:"sqlite,omitempty"`
+}
+
+// params is the workload sizing part of the configuration.
+func (c Config) params() workloads.Params {
+	return workloads.Params{Sqlite: c.Sqlite, MatmulN: c.MatmulN, MatmulTile: c.MatmulTile,
+		Elems: c.Elems, MemsetWords: c.MemsetWords}
+}
+
+// statEvents resolves the stat event names to codes.
+func (c Config) statEvents() ([]isa.EventCode, error) {
+	names := c.Events
+	if len(names) == 0 {
+		names = defaultStatEvents
+	}
+	evs := make([]isa.EventCode, 0, len(names))
+	for _, name := range names {
+		ev, ok := eventsByName[strings.ToLower(strings.TrimSpace(name))]
+		if !ok {
+			return nil, fmt.Errorf("mperf: unknown event %q (known: %s)",
+				name, strings.Join(EventNames(), ", "))
+		}
+		evs = append(evs, ev)
+	}
+	return evs, nil
+}
+
+// Validate rejects what no session could run: an unknown event name,
+// a negative size, or a sqlite sizing BuildSqliteSim refuses.
+func (c Config) Validate() error {
+	if _, err := c.statEvents(); err != nil {
+		return err
+	}
+	if c.MatmulN < 0 || c.MatmulTile < 0 || c.Elems < 0 || c.MemsetWords < 0 {
+		return fmt.Errorf("mperf: negative size (%s)", c.params().Fingerprint())
+	}
+	if c.Sqlite != nil {
+		if err := c.Sqlite.Validate(); err != nil {
+			return fmt.Errorf("mperf: %w", err)
+		}
+	}
+	return nil
+}
+
+// options is what the functional options fill in: the configuration
+// plus the attachments, which are not configuration.
+type options struct {
+	Config
+	cache     *ProgramCache
+	execStats *vm.ExecStats
 }
 
 // Option configures a Session at Open time.
-type Option func(*config)
+type Option func(*options)
+
+// resolveOptions applies opts in order.
+func resolveOptions(opts []Option) options {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// WithConfig sets the whole configuration; later options refine it.
+func WithConfig(c Config) Option { return func(o *options) { o.Config = c } }
 
 // WithSqliteConfig overrides the sqlite workload's sizing.
-func WithSqliteConfig(cfg workloads.SqliteConfig) Option {
-	return func(c *config) { c.params.Sqlite = &cfg }
-}
+func WithSqliteConfig(cfg workloads.SqliteConfig) Option { return func(o *options) { o.Sqlite = &cfg } }
 
 // WithMatmulSize overrides the matmul workload's dimension and tile.
 func WithMatmulSize(n, tile int) Option {
-	return func(c *config) { c.params.MatmulN, c.params.MatmulTile = n, tile }
+	return func(o *options) { o.MatmulN, o.MatmulTile = n, tile }
 }
 
-// WithElems overrides the element count of the streaming kernels
-// (dot, triad, stencil).
-func WithElems(n int) Option {
-	return func(c *config) { c.params.Elems = n }
-}
+// WithElems overrides the element count of the streaming kernels.
+func WithElems(n int) Option { return func(o *options) { o.Elems = n } }
 
 // WithMemsetWords overrides the memset buffer length in 8-byte words.
-func WithMemsetWords(words int) Option {
-	return func(c *config) { c.params.MemsetWords = words }
-}
+func WithMemsetWords(words int) Option { return func(o *options) { o.MemsetWords = words } }
 
-// WithSampleFreq sets the record collector's sampling frequency in Hz
-// (perf's -F; default 4000).
-func WithSampleFreq(hz uint64) Option {
-	return func(c *config) { c.sampleFreq = hz }
-}
+// WithSampleFreq sets the record collector's sampling frequency in Hz.
+func WithSampleFreq(hz uint64) Option { return func(o *options) { o.SampleFreqHz = hz } }
 
 // WithStatEvents selects the events the stat collector counts, by
 // generalized name (see EventNames).
-func WithStatEvents(names ...string) Option {
-	return func(c *config) { c.statEvents = names }
-}
+func WithStatEvents(names ...string) Option { return func(o *options) { o.Events = names } }
 
 // WithProgramCache makes the session compile through the given cache
 // instead of the process-wide default, isolating its compiles (tests,
 // cold-path measurements) or scoping a cache to one sweep. A nil cache
 // restores the default.
 func WithProgramCache(cache *ProgramCache) Option {
-	return func(c *config) { c.cache = cache }
+	return func(o *options) { o.cache = cache }
 }
 
 // WithHierarchicalRoofline is a no-op: the roofline collector always
@@ -136,7 +198,7 @@ func WithProgramCache(cache *ProgramCache) Option {
 //
 // Deprecated: the hierarchical roofline is always on.
 func WithHierarchicalRoofline() Option {
-	return func(*config) {}
+	return func(*options) {}
 }
 
 // ExecStats aliases the VM's execution coverage accumulator so
@@ -149,19 +211,16 @@ type ExecStats = vm.ExecStats
 // diagnostic only (miniperf -vm-stats) and never enter a Profile, so
 // profiles stay identical with and without an accumulator installed.
 func WithExecStats(st *vm.ExecStats) Option {
-	return func(c *config) { c.execStats = st }
+	return func(o *options) { o.execStats = st }
 }
 
 // Session is one platform × workload binding, ready to run collectors.
 type Session struct {
-	plat       *platform.Platform
-	spec       *workloads.Spec
-	params     workloads.Params
-	cache      *ProgramCache
-	sampleFreq uint64
-	statEvents []isa.EventCode
-	statLabels []string
-	execStats  *vm.ExecStats
+	plat      *platform.Platform
+	spec      *workloads.Spec
+	cfg       Config
+	cache     *ProgramCache
+	execStats *vm.ExecStats
 
 	// compiled/hits/diskHits track this session's traffic through the
 	// program cache; Session.Run reports the per-run delta as
@@ -172,41 +231,27 @@ type Session struct {
 }
 
 // Open resolves the platform and workload through their registries and
-// validates the options. Unknown names surface here, before any
-// machine is built.
+// validates the options' Config. Unknown names and bad sizes surface
+// here, before any machine is built.
 func Open(platformName, workloadName string, opts ...Option) (*Session, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
+	o := resolveOptions(opts)
+	o.Events = slices.Clone(o.Events)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	plat, err := platform.Lookup(platformName)
 	if err != nil {
 		return nil, fmt.Errorf("mperf: %w", err)
 	}
-	spec, err := workloads.Lookup(workloadName, cfg.params)
+	spec, err := workloads.Lookup(workloadName, o.params())
 	if err != nil {
 		return nil, fmt.Errorf("mperf: %w", err)
 	}
-	cache := cfg.cache
+	cache := o.cache
 	if cache == nil {
 		cache = defaultCache()
 	}
-	s := &Session{plat: plat, spec: spec, params: cfg.params, cache: cache,
-		sampleFreq: cfg.sampleFreq, execStats: cfg.execStats}
-	names := cfg.statEvents
-	if len(names) == 0 {
-		names = defaultStatEvents
-	}
-	for _, name := range names {
-		ev, ok := eventsByName[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
-			return nil, fmt.Errorf("mperf: unknown event %q (known: %s)",
-				name, strings.Join(EventNames(), ", "))
-		}
-		s.statEvents = append(s.statEvents, ev)
-		s.statLabels = append(s.statLabels, ev.String())
-	}
-	return s, nil
+	return &Session{plat: plat, spec: spec, cfg: o.Config, cache: cache, execStats: o.execStats}, nil
 }
 
 // Platform returns the resolved platform.
@@ -216,12 +261,17 @@ func (s *Session) Platform() *platform.Platform { return s.plat }
 func (s *Session) Workload() *workloads.Spec { return s.spec }
 
 // SampleFreq returns the configured sampling frequency (0 = default).
-func (s *Session) SampleFreq() uint64 { return s.sampleFreq }
+func (s *Session) SampleFreq() uint64 { return s.cfg.SampleFreqHz }
 
 // StatLabels returns the stat event labels in request order, for
 // ordered rendering of Profile.Events.
 func (s *Session) StatLabels() []string {
-	return append([]string(nil), s.statLabels...)
+	evs, _ := s.cfg.statEvents() // validated by Open
+	labels := make([]string, len(evs))
+	for i, ev := range evs {
+		labels[i] = ev.String()
+	}
+	return labels
 }
 
 // NewMachine instantiates the workload unoptimized on a fresh hart —
@@ -246,7 +296,7 @@ func (s *Session) NewOptimizedMachine(instrument bool) (*vm.Machine, error) {
 func (s *Session) ProgramKey(optimize, instrument bool) ProgramKey {
 	key := ProgramKey{
 		Workload: s.spec.Name,
-		Params:   s.params.Fingerprint(),
+		Params:   s.cfg.params().Fingerprint(),
 		Codegen:  vm.CodegenTag(),
 	}
 	if optimize {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 
 	"mperf/internal/platform"
 	"mperf/internal/workloads"
@@ -65,14 +64,16 @@ type SweepReport struct {
 }
 
 // sweepManifest pins the sweep's resolved shape so every shard (and
-// the merge) agrees on the cell set and order. It carries no
-// timestamps or host identity: two shards of one logical sweep write
-// byte-identical manifests, which is what lets them share a directory
-// without coordination.
+// the merge) agrees on the cell set and order, and on the
+// configuration every cell ran with. It carries no timestamps or host
+// identity: two shards of one logical sweep write byte-identical
+// manifests, which is what lets them share a directory without
+// coordination.
 type sweepManifest struct {
 	Platforms  []string `json:"platforms"`
 	Workloads  []string `json:"workloads"`
 	Collectors []string `json:"collectors"`
+	Config     Config   `json:"config"`
 }
 
 // cellFileName returns the file a cell materializes to. Platform and
@@ -83,35 +84,35 @@ func cellFileName(platformName, workloadName string) string {
 }
 
 // resolveMatrix expands a MatrixSpec's defaults and validates every
-// name against the registries — shared by RunMatrix and RunSweep so a
-// sweep resolves to exactly the cells the in-process path would run.
-func resolveMatrix(spec MatrixSpec) (plats, wls, cols []string, err error) {
-	plats = spec.Platforms
-	if len(plats) == 0 {
-		plats = platform.Names()
+// name against the registries and the options' configuration — shared
+// by RunMatrix and RunSweep so a sweep resolves to exactly the cells
+// the in-process path would run.
+func resolveMatrix(spec MatrixSpec) (man sweepManifest, err error) {
+	man = sweepManifest{Platforms: spec.Platforms, Workloads: spec.Workloads,
+		Collectors: spec.Collectors, Config: resolveOptions(spec.Options).Config}
+	if len(man.Platforms) == 0 {
+		man.Platforms = platform.Names()
 	}
-	wls = spec.Workloads
-	if len(wls) == 0 {
-		wls = workloads.Names()
+	if len(man.Workloads) == 0 {
+		man.Workloads = workloads.Names()
 	}
-	cols = spec.Collectors
-	if len(cols) == 0 {
-		cols = CollectorNames()
+	if len(man.Collectors) == 0 {
+		man.Collectors = CollectorNames()
 	}
-	for _, p := range plats {
+	for _, p := range man.Platforms {
 		if _, err := platform.Lookup(p); err != nil {
-			return nil, nil, nil, fmt.Errorf("mperf: %w", err)
+			return man, fmt.Errorf("mperf: %w", err)
 		}
 	}
-	for _, w := range wls {
+	for _, w := range man.Workloads {
 		if _, err := workloads.Lookup(w, workloads.Params{}); err != nil {
-			return nil, nil, nil, fmt.Errorf("mperf: %w", err)
+			return man, fmt.Errorf("mperf: %w", err)
 		}
 	}
-	if _, err := Collectors(cols...); err != nil {
-		return nil, nil, nil, err
+	if _, err := Collectors(man.Collectors...); err != nil {
+		return man, err
 	}
-	return plats, wls, cols, nil
+	return man, man.Config.Validate()
 }
 
 // runMatrixCell executes one cell: a fresh session and fresh collector
@@ -173,9 +174,11 @@ func marshalIndented(v any) ([]byte, error) {
 }
 
 // ensureManifest writes the sweep manifest, or validates an existing
-// one against this invocation's resolved spec: two shards with
-// different specs sharing one directory is a configuration error worth
-// failing loudly on, not a merge-time surprise.
+// one against this invocation's resolved spec byte for byte: two
+// shards with different specs or sizing sharing one directory is a
+// configuration error worth failing loudly on, not a merge-time
+// surprise. A manifest written before the config entry existed never
+// matches, so its cells are not resumed under a guessed config.
 func ensureManifest(dir string, man sweepManifest) error {
 	want, err := marshalIndented(man)
 	if err != nil {
@@ -183,8 +186,7 @@ func ensureManifest(dir string, man sweepManifest) error {
 	}
 	path := filepath.Join(dir, sweepManifestName)
 	if existing, err := os.ReadFile(path); err == nil {
-		var have sweepManifest
-		if jerr := json.Unmarshal(existing, &have); jerr != nil || !reflect.DeepEqual(have, man) {
+		if !bytes.Equal(existing, want) {
 			return fmt.Errorf("mperf: sweep dir %s was started with a different matrix spec", dir)
 		}
 		return nil
@@ -228,16 +230,17 @@ func RunSweep(ctx context.Context, spec MatrixSpec, cfg SweepConfig) (*SweepRepo
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= shards {
 		return nil, fmt.Errorf("mperf: shard index %d out of range for %d shards", cfg.ShardIndex, shards)
 	}
-	plats, wls, cols, err := resolveMatrix(spec)
+	man, err := resolveMatrix(spec)
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mperf: %w", err)
 	}
-	if err := ensureManifest(cfg.Dir, sweepManifest{Platforms: plats, Workloads: wls, Collectors: cols}); err != nil {
+	if err := ensureManifest(cfg.Dir, man); err != nil {
 		return nil, err
 	}
+	plats, wls, cols := man.Platforms, man.Workloads, man.Collectors
 
 	rep := &SweepReport{Dir: cfg.Dir, Total: len(plats) * len(wls)}
 	for i, p := range plats {

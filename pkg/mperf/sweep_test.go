@@ -235,17 +235,49 @@ func TestSweepResumeRerunsTruncatedCell(t *testing.T) {
 }
 
 // TestSweepManifestMismatch pins the shared-directory guard: a second
-// shard arriving with a different matrix spec is rejected.
+// shard, or a resume, arriving with a different matrix spec or a
+// different configuration under the same names is rejected, and so is
+// a manifest that predates the pinned config.
 func TestSweepManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := mperf.RunSweep(context.Background(), sweepSpec(mperf.NewProgramCache()), mperf.SweepConfig{Dir: dir}); err != nil {
+	if _, err := mperf.RunSweep(context.Background(), sweepSpec(mperf.NewProgramCache()), mperf.SweepConfig{
+		Dir: dir, ShardIndex: 0, ShardCount: 2,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	other := sweepSpec(mperf.NewProgramCache())
-	other.Workloads = []string{"dot"}
-	if _, err := mperf.RunSweep(context.Background(), other, mperf.SweepConfig{Dir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "different matrix spec") {
-		t.Fatalf("mismatched spec accepted: %v", err)
+	otherNames := sweepSpec(mperf.NewProgramCache())
+	otherNames.Workloads = []string{"dot"}
+	otherSize := sweepSpec(mperf.NewProgramCache())
+	otherSize.Options = append(otherSize.Options, mperf.WithElems(1024))
+	for _, tc := range []struct {
+		name string
+		spec mperf.MatrixSpec
+		cfg  mperf.SweepConfig
+	}{
+		{"names", otherNames, mperf.SweepConfig{Dir: dir}},
+		{"sizing, second shard", otherSize, mperf.SweepConfig{Dir: dir, ShardIndex: 1, ShardCount: 2}},
+		{"sizing, resume", otherSize, mperf.SweepConfig{Dir: dir, ShardIndex: 0, ShardCount: 2, Resume: true}},
+	} {
+		if _, err := mperf.RunSweep(context.Background(), tc.spec, tc.cfg); err == nil ||
+			!strings.Contains(err.Error(), "different matrix spec") {
+			t.Errorf("%s: mismatched spec accepted: %v", tc.name, err)
+		}
+	}
+	if _, err := mperf.RunSweep(context.Background(), sweepSpec(mperf.NewProgramCache()), mperf.SweepConfig{
+		Dir: dir, ShardIndex: 0, ShardCount: 2, Resume: true,
+	}); err != nil {
+		t.Fatalf("matching resume rejected: %v", err)
+	}
+
+	legacy := t.TempDir()
+	manifest := `{"platforms":["x60","i5"],"workloads":["dot","triad","memset"],"collectors":["stat"]}`
+	if err := os.WriteFile(filepath.Join(legacy, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mperf.RunSweep(context.Background(), sweepSpec(mperf.NewProgramCache()), mperf.SweepConfig{
+		Dir: legacy, Resume: true,
+	}); err == nil || !strings.Contains(err.Error(), "different matrix spec") {
+		t.Errorf("manifest without a config entry accepted: %v", err)
 	}
 }
 

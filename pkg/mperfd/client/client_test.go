@@ -228,7 +228,7 @@ func TestKillDaemonMidStream(t *testing.T) {
 	req := dotRequest()
 	local := func() (*mperf.Profile, error) {
 		sess, err := mperf.Open(req.Platform, req.Workload,
-			append(req.Options(), mperf.WithProgramCache(mperf.NewProgramCache()))...)
+			mperf.WithConfig(req.Sizing), mperf.WithProgramCache(mperf.NewProgramCache()))
 		if err != nil {
 			return nil, err
 		}

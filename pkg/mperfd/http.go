@@ -213,7 +213,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("mperfd: decoding matrix request: %w", err))
 		return
 	}
-	if err := req.validate(); err != nil {
+	if err := req.spec(s.cache).Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -254,13 +254,7 @@ func (s *Server) run(j *job) (res jobResult) {
 		}
 		return jobResult{profile: prof, err: err}
 	}
-	res2, err := mperf.RunMatrix(mperf.MatrixSpec{
-		Platforms:   j.matrix.Platforms,
-		Workloads:   j.matrix.Workloads,
-		Collectors:  j.matrix.Collectors,
-		Options:     append(j.matrix.Options(), mperf.WithProgramCache(s.cache)),
-		Parallelism: j.matrix.Parallelism,
-	})
+	res2, err := mperf.RunMatrix(j.matrix.spec(s.cache))
 	if err != nil {
 		return jobResult{err: err}
 	}
@@ -413,7 +407,7 @@ func (s *Server) Profile(ctx context.Context, cs *ClientSession, req ProfileRequ
 // Matrix runs a sweep through the queue as a single job, bounded by
 // the sweep's own worker pool.
 func (s *Server) Matrix(ctx context.Context, cs *ClientSession, req MatrixRequest) (*MatrixResponse, error) {
-	if err := req.validate(); err != nil {
+	if err := req.spec(s.cache).Validate(); err != nil {
 		return nil, err
 	}
 	ctx, finish, err := cs.begin(ctx)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mperf/internal/workloads"
 	"mperf/pkg/mperf"
 	"mperf/pkg/mperfd"
 )
@@ -72,8 +73,8 @@ func readFrames(t *testing.T, r io.Reader) []mperfd.Frame {
 // from a warm cache, which is the one permitted difference).
 func inProcessProfile(t *testing.T, req mperfd.ProfileRequest) []byte {
 	t.Helper()
-	opts := append(req.Options(), mperf.WithProgramCache(mperf.NewProgramCache()))
-	sess, err := mperf.Open(req.Platform, req.Workload, opts...)
+	sess, err := mperf.Open(req.Platform, req.Workload,
+		mperf.WithConfig(req.Sizing), mperf.WithProgramCache(mperf.NewProgramCache()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +208,87 @@ func TestHTTPValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status %s, want 400", body, resp.Status)
 		}
+	}
+}
+
+// TestServedSqliteSizing: a request's "sqlite" key sizes the served
+// workload. At the paper's Table 2 size the served profile is
+// byte-identical to an in-process session given WithSqliteConfig, not
+// the default 300×4 sizing.
+func TestServedSqliteSizing(t *testing.T) {
+	srv := newTestServer(t, mperfd.Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"platform":"x60","workload":"sqlite","collectors":["stat","topdown"],` +
+		`"sqlite":{"prog_len":64,"rows":150,"queries":3,"cell_area":4096,"text_area":4096,"pat_len":6}}`
+	resp, err := http.Post(ts.URL+"/v1/profile", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readFrames(t, resp.Body)
+	final := frames[len(frames)-1]
+	if final.Type != "profile" || final.Profile == nil {
+		t.Fatalf("terminal frame: %+v, want a profile", final)
+	}
+
+	table2 := workloads.DefaultSqliteConfig()
+	table2.Rows, table2.Queries = 150, 3
+	sess, err := mperf.Open("x60", "sqlite", mperf.WithSqliteConfig(table2),
+		mperf.WithProgramCache(mperf.NewProgramCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sess.Run(mperf.MustCollectors("stat", "topdown")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served, want := marshalNoCompileStats(t, final.Profile), marshalNoCompileStats(t, prof); !bytes.Equal(served, want) {
+		t.Errorf("served sqlite profile diverged from the in-process Table 2 run:\nserved: %s\nlocal:  %s", served, want)
+	}
+}
+
+// TestSizingValidatedBeforeQueue: bad sizing in either request kind is
+// refused before it reaches the queue — the session never submits —
+// and over HTTP it is a 400 like a name typo.
+func TestSizingValidatedBeforeQueue(t *testing.T) {
+	srv := newTestServer(t, mperfd.Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cs := srv.OpenSession("bad-sizing")
+	defer srv.CloseSession(cs.ID())
+	for _, bad := range []mperfd.Sizing{
+		{Elems: -1},
+		{MemsetWords: -512},
+		{Sqlite: &workloads.SqliteConfig{Rows: 150, Queries: 3}},
+	} {
+		preq := mperfd.ProfileRequest{Platform: "x60", Workload: "dot", Collectors: []string{"stat"}, Sizing: bad}
+		mreq := mperfd.MatrixRequest{Platforms: []string{"x60"}, Workloads: []string{"dot"}, Collectors: []string{"stat"}, Sizing: bad}
+		if _, err := srv.Profile(context.Background(), cs, preq, nil); err == nil {
+			t.Errorf("profile with sizing %+v accepted", bad)
+		}
+		if _, err := srv.Matrix(context.Background(), cs, mreq); err == nil {
+			t.Errorf("matrix with sizing %+v accepted", bad)
+		}
+		for route, req := range map[string]any{"/v1/profile": preq, "/v1/matrix": mreq} {
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with sizing %+v: status %s, want 400", route, bad, resp.Status)
+			}
+		}
+	}
+	if n := cs.Requests(); n != 0 {
+		t.Errorf("session submitted %d requests, want 0", n)
+	}
+	if st := srv.Stats(); st.Served != 0 || st.Rejected != 0 {
+		t.Errorf("bad sizing reached the queue: %d served, %d rejected", st.Served, st.Rejected)
 	}
 }
 

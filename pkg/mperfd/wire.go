@@ -5,58 +5,19 @@ import (
 	"errors"
 	"fmt"
 
-	"mperf/internal/platform"
-	"mperf/internal/workloads"
 	"mperf/pkg/mperf"
 )
 
-// Sizing carries the workload sizing and collector tuning knobs the
-// CLI exposes. It is embedded flat into both request types, so a curl
-// body says `"matmul_n": 64` whether it profiles one cell or sweeps a
-// matrix. Zero-valued fields mean the same defaults `miniperf` uses.
-type Sizing struct {
-	// Events selects the stat collector's event set by generalized
-	// name (default: the perf stat set).
-	Events []string `json:"events,omitempty"`
-	// SampleFreqHz is the record collector's -F (default 4000).
-	SampleFreqHz uint64 `json:"sample_freq_hz,omitempty"`
-	MatmulN      int    `json:"matmul_n,omitempty"`
-	MatmulTile   int    `json:"matmul_tile,omitempty"`
-	Elems        int    `json:"elems,omitempty"`
-	MemsetWords  int    `json:"memset_words,omitempty"`
-}
-
-// Options renders the sizing knobs as session options.
-func (r Sizing) Options() []mperf.Option {
-	var opts []mperf.Option
-	if r.MatmulN > 0 || r.MatmulTile > 0 {
-		n, tile := r.MatmulN, r.MatmulTile
-		if n == 0 {
-			n = 128
-		}
-		if tile == 0 {
-			tile = 32
-		}
-		opts = append(opts, mperf.WithMatmulSize(n, tile))
-	}
-	if r.Elems > 0 {
-		opts = append(opts, mperf.WithElems(r.Elems))
-	}
-	if r.MemsetWords > 0 {
-		opts = append(opts, mperf.WithMemsetWords(r.MemsetWords))
-	}
-	if r.SampleFreqHz > 0 {
-		opts = append(opts, mperf.WithSampleFreq(r.SampleFreqHz))
-	}
-	if len(r.Events) > 0 {
-		opts = append(opts, mperf.WithStatEvents(r.Events...))
-	}
-	return opts
-}
+// Sizing was the daemon's own copy of the run configuration.
+//
+// Deprecated: use mperf.Config, which both request types embed flat
+// under the field name Sizing, so a curl body says `"matmul_n": 64`
+// whether it profiles one cell or sweeps a matrix.
+type Sizing = mperf.Config
 
 // ProfileRequest is one profile request as it travels over either
 // transport: which platform × workload to profile, which collectors
-// to run, and the sizing knobs.
+// to run, and the run configuration, flat in the body.
 type ProfileRequest struct {
 	Platform string `json:"platform"`
 	Workload string `json:"workload"`
@@ -83,11 +44,7 @@ func (r ProfileRequest) open(cache *mperf.ProgramCache) (*mperf.Session, []mperf
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := r.Options()
-	if cache != nil {
-		opts = append(opts, mperf.WithProgramCache(cache))
-	}
-	sess, err := mperf.Open(r.Platform, r.Workload, opts...)
+	sess, err := mperf.Open(r.Platform, r.Workload, mperf.WithConfig(r.Sizing), mperf.WithProgramCache(cache))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,8 +53,8 @@ func (r ProfileRequest) open(cache *mperf.ProgramCache) (*mperf.Session, []mperf
 
 // MatrixRequest sweeps platforms × workloads × collectors through the
 // daemon's shared program cache. Empty lists default to the full
-// registries, exactly like mperf.RunMatrix; the sizing knobs apply to
-// every cell.
+// registries, exactly like mperf.RunMatrix; the run configuration
+// applies to every cell.
 type MatrixRequest struct {
 	Platforms   []string `json:"platforms,omitempty"`
 	Workloads   []string `json:"workloads,omitempty"`
@@ -109,25 +66,17 @@ type MatrixRequest struct {
 	Sizing
 }
 
-// validate resolves every requested name so a typo is a 400, not a
-// sweep of failed cells.
-func (r MatrixRequest) validate() error {
-	for _, p := range r.Platforms {
-		if _, err := platform.Lookup(p); err != nil {
-			return err
-		}
+// spec is the sweep the request asks for, compiled through cache.
+// Its Validate makes a typo or a negative size a 400, not a sweep of
+// failed cells.
+func (r MatrixRequest) spec(cache *mperf.ProgramCache) mperf.MatrixSpec {
+	return mperf.MatrixSpec{
+		Platforms:   r.Platforms,
+		Workloads:   r.Workloads,
+		Collectors:  r.Collectors,
+		Options:     []mperf.Option{mperf.WithConfig(r.Sizing), mperf.WithProgramCache(cache)},
+		Parallelism: r.Parallelism,
 	}
-	for _, w := range r.Workloads {
-		if _, err := workloads.Lookup(w, workloads.Params{}); err != nil {
-			return err
-		}
-	}
-	if len(r.Collectors) > 0 {
-		if _, err := mperf.Collectors(r.Collectors...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MatrixResponse is the daemon's matrix result: the cells plus the
