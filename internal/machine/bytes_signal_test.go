@@ -23,7 +23,7 @@ func TestByteSignalsMatchStats(t *testing.T) {
 			}
 			for i := 0; i < 20_000; i++ {
 				u := Uop{Src1: -1, Src2: -1, Src3: -1, Dst: -1}
-				u.Addr = 0x4000 + (next() % (1 << 18))
+				d := RegionDyn{Addr: 0x4000 + (next() % (1 << 18))}
 				u.Size = 1 << (next() % 4) // 1, 2, 4, 8 bytes
 				if next()%3 == 0 {
 					u.Class = OpStore
@@ -32,7 +32,7 @@ func TestByteSignalsMatchStats(t *testing.T) {
 					u.Class = OpLoad
 					u.Dst = int32(next() % 32)
 				}
-				c.Exec(&u)
+				execOne(c, u, d)
 			}
 			st := c.Stats()
 			if st.L1DBytes == 0 || st.L2Bytes == 0 || st.DRAMBytes == 0 {

@@ -221,8 +221,8 @@ func (c *Core) SetSink(s EventSink) {
 // which together decide how often ExecRegion flushes: after every uop
 // when needsPerUop says so, otherwise only when the caller calls
 // FlushEvents. The interpreter calls this when a run starts; anyone
-// reconfiguring counters while driving Exec directly should flush,
-// then call it before the next uop.
+// reconfiguring counters while driving ExecRegion directly should
+// flush, then call it before the next region.
 func (c *Core) RefreshSinkMask() {
 	prevCounts := c.sinkMask & countSigMask
 	c.sinkMask = 0
@@ -355,13 +355,6 @@ func (c *Core) Reset() {
 	if c.cfg.TimerIntervalCycles > 0 {
 		c.nextTimer = c.cfg.TimerIntervalCycles
 	}
-}
-
-// Exec executes one micro-op: a one-uop region with salt 0, so its
-// scoreboard slots are the uop's registers masked into the scoreboard.
-func (c *Core) Exec(u *Uop) {
-	dyn := [1]RegionDyn{{Addr: u.Addr, Target: u.Target, Taken: u.Taken}}
-	c.ExecRegion([]Uop{*u}, dyn[:], 0)
 }
 
 // timeSigMask covers the pure time/instruction signals: the set the

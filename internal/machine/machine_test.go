@@ -47,8 +47,14 @@ func oooConfig() Config {
 	return cfg
 }
 
-func alu(dst, src int32) *Uop {
-	return &Uop{Class: OpIntALU, Dst: dst, Src1: src, Src2: -1, Src3: -1, IntOps: 1}
+func alu(dst, src int32) Uop {
+	return Uop{Class: OpIntALU, Dst: dst, Src1: src, Src2: -1, Src3: -1, IntOps: 1}
+}
+
+// execOne charges one uop as a one-uop region with salt 0, so its
+// scoreboard slots are the uop's registers masked into the scoreboard.
+func execOne(c *Core, u Uop, d RegionDyn) {
+	c.ExecRegion([]Uop{u}, []RegionDyn{d}, 0)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -81,7 +87,7 @@ func TestInOrderIndependentALUThroughput(t *testing.T) {
 		u := alu(int32(i%128), int32((i+1)%128))
 		// Break the accidental dependency the modulo creates.
 		u.Src1 = -1
-		c.Exec(u)
+		execOne(c, u, RegionDyn{})
 	}
 	ipc := c.Stats().IPC()
 	if ipc < 1.8 || ipc > 2.05 {
@@ -96,7 +102,7 @@ func TestInOrderDependencyChainSerializes(t *testing.T) {
 	const n = 1000
 	for i := 0; i < n; i++ {
 		// mul r1 <- r1: a serial dependency chain at 5-cycle latency.
-		c.Exec(&Uop{Class: OpIntMul, Dst: 1, Src1: 1, Src2: -1, Src3: -1, IntOps: 1})
+		execOne(c, Uop{Class: OpIntMul, Dst: 1, Src1: 1, Src2: -1, Src3: -1, IntOps: 1}, RegionDyn{})
 	}
 	cpi := float64(c.Cycles()) / float64(n)
 	if cpi < 4.5 || cpi > 5.5 {
@@ -107,12 +113,12 @@ func TestInOrderDependencyChainSerializes(t *testing.T) {
 func TestInOrderLoadUseStall(t *testing.T) {
 	c := NewCore(inOrderConfig(), nil)
 	// Warm one line, then ping-pong load→use on the same register.
-	c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Addr: 0x1000, Size: 8})
+	execOne(c, Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: 0x1000})
 	start := c.Cycles()
 	const n = 1000
 	for i := 0; i < n; i++ {
-		c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Addr: 0x1000, Size: 8})
-		c.Exec(alu(2, 1)) // uses the load result
+		execOne(c, Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: 0x1000})
+		execOne(c, alu(2, 1), RegionDyn{}) // uses the load result
 	}
 	cpi := float64(c.Cycles()-start) / float64(2*n)
 	// Each pair costs at least the L1 hit latency (3) → CPI ≥ 1.5.
@@ -129,7 +135,7 @@ func TestOutOfOrderHidesLatency(t *testing.T) {
 	const n = 10_000
 	for i := 0; i < n; i++ {
 		// The same serial chain that cripples the in-order core.
-		c.Exec(&Uop{Class: OpIntMul, Dst: 1, Src1: 1, Src2: -1, Src3: -1, IntOps: 1})
+		execOne(c, Uop{Class: OpIntMul, Dst: 1, Src1: 1, Src2: -1, Src3: -1, IntOps: 1}, RegionDyn{})
 	}
 	ipc := c.Stats().IPC()
 	if ipc < 3.5 {
@@ -146,8 +152,7 @@ func TestMispredictPenaltyCharged(t *testing.T) {
 	rng := uint64(0x9E3779B97F4A7C15)
 	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
-		c.Exec(&Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1,
-			BrID: 7, Taken: rng>>63 == 1})
+		execOne(c, Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1, BrID: 7}, RegionDyn{Taken: rng>>63 == 1})
 	}
 	st := c.Stats()
 	if st.Mispredicts < n/4 {
@@ -164,8 +169,7 @@ func TestBiasedBranchPredictsWell(t *testing.T) {
 	c := NewCore(inOrderConfig(), nil)
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		c.Exec(&Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1,
-			BrID: 3, Taken: true})
+		execOne(c, Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1, BrID: 3}, RegionDyn{Taken: true})
 	}
 	st := c.Stats()
 	if rate := float64(st.Mispredicts) / float64(st.Branches); rate > 0.01 {
@@ -177,8 +181,7 @@ func TestIndirectPredictorStableTarget(t *testing.T) {
 	c := NewCore(oooConfig(), nil)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		c.Exec(&Uop{Class: OpIndirect, Dst: -1, Src1: -1, Src2: -1, Src3: -1,
-			BrID: 11, Target: 0xAB00})
+		execOne(c, Uop{Class: OpIndirect, Dst: -1, Src1: -1, Src2: -1, Src3: -1, BrID: 11}, RegionDyn{Target: 0xAB00})
 	}
 	st := c.Stats()
 	if rate := float64(st.Mispredicts) / float64(st.Branches); rate > 0.05 {
@@ -194,8 +197,7 @@ func TestStreamingStoresAreBandwidthBound(t *testing.T) {
 	// not exceed the channel's capability.
 	const n = 200_000
 	for i := 0; i < n; i++ {
-		c.Exec(&Uop{Class: OpStore, Dst: -1, Src1: -1, Src2: -1, Src3: -1,
-			Addr: uint64(i * 8), Size: 8})
+		execOne(c, Uop{Class: OpStore, Dst: -1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: uint64(i * 8)})
 	}
 	storedBytesPerCycle := float64(n*8) / float64(c.Cycles())
 	if storedBytesPerCycle > cfg.Mem.DRAM.BytesPerCycle {
@@ -214,7 +216,7 @@ func TestInstructionExpansion(t *testing.T) {
 	c := NewCore(cfg, nil)
 	for i := 0; i < 1000; i++ {
 		u := alu(1, -1)
-		c.Exec(u)
+		execOne(c, u, RegionDyn{})
 	}
 	if got := c.Instret(); got != 2000 {
 		t.Errorf("instret = %d, want 2000 with 2.0 expansion", got)
@@ -229,7 +231,7 @@ func TestTimerTickAccountsSModeCycles(t *testing.T) {
 	c := NewCore(cfg, &sink)
 	for i := 0; i < 10_000; i++ {
 		u := alu(1, -1)
-		c.Exec(u)
+		execOne(c, u, RegionDyn{})
 	}
 	if c.Stats().TimerTicks == 0 {
 		t.Fatal("expected timer ticks")
@@ -279,7 +281,7 @@ func TestBatchedTimeDeltasSumExactly(t *testing.T) {
 	var sink timeOnlySink
 	c := NewCore(cfg, &sink)
 	for i := 0; i < 10_000; i++ {
-		c.Exec(alu(int32(i%64), -1))
+		execOne(c, alu(int32(i%64), -1), RegionDyn{})
 		if i%7 == 0 { // irregular "block boundaries"
 			c.FlushEvents()
 		}
@@ -304,13 +306,14 @@ func TestBatchedTimeDeltasSumExactly(t *testing.T) {
 }
 
 // TestQuietPathMatchesObserved pins the charge rule against the
-// reference stepper: a core with no sink, charging through Exec, must
+// reference stepper: a core with no sink, charging through ExecRegion
+// one uop at a time, must
 // charge exactly the same cycles, instructions and statistics as the
 // reference rule observed by a full-mask sink, for an identical uop
 // stream mixing ALU, memory, divide and branch work across both
 // pipeline kinds.
 func TestQuietPathMatchesObserved(t *testing.T) {
-	stream := func(c *Core, exec func(*Core, *Uop)) {
+	stream := func(c *Core, exec func(*Core, Uop, RegionDyn)) {
 		seed := uint64(12345)
 		next := func() uint64 {
 			seed = seed*6364136223846793005 + 1442695040888963407
@@ -318,6 +321,7 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 		}
 		for i := 0; i < 50_000; i++ {
 			var u Uop
+			var d RegionDyn
 			u.Src1, u.Src2, u.Src3, u.Dst = -1, -1, -1, -1
 			switch next() % 8 {
 			case 0, 1, 2:
@@ -328,12 +332,12 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 			case 3:
 				u.Class = OpLoad
 				u.Dst = int32(next() % 64)
-				u.Addr = 0x2000 + (next() % (1 << 20))
+				d.Addr = 0x2000 + (next() % (1 << 20))
 				u.Size = 8
 			case 4:
 				u.Class = OpStore
 				u.Src1 = int32(next() % 64)
-				u.Addr = 0x2000 + (next() % (1 << 20))
+				d.Addr = 0x2000 + (next() % (1 << 20))
 				u.Size = 8
 			case 5:
 				u.Class = OpFMA
@@ -343,14 +347,14 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 			case 6:
 				u.Class = OpBranch
 				u.BrID = uint32(next()%16) + 1
-				u.Taken = next()%3 == 0
+				d.Taken = next()%3 == 0
 			case 7:
 				u.Class = OpIntDiv
 				u.Dst = int32(next() % 64)
 				u.Src1 = int32(next() % 64)
 				u.IntOps = 1
 			}
-			exec(c, &u)
+			exec(c, u, d)
 		}
 	}
 	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
@@ -359,7 +363,7 @@ func TestQuietPathMatchesObserved(t *testing.T) {
 		quiet := NewCore(cfg, nil)
 		var sink recordingSink
 		observed := NewCore(cfg, &sink)
-		stream(quiet, (*Core).Exec)
+		stream(quiet, execOne)
 		stream(observed, (*Core).refExec)
 		if quiet.Cycles() != observed.Cycles() {
 			t.Errorf("%s: quiet cycles %d != observed %d", cfg.Name, quiet.Cycles(), observed.Cycles())
@@ -379,15 +383,13 @@ func TestSinkCycleDeltasSumToCycles(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		switch i % 4 {
 		case 0:
-			c.Exec(alu(int32(i%64), -1))
+			execOne(c, alu(int32(i%64), -1), RegionDyn{})
 		case 1:
-			c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1,
-				Addr: uint64(i * 64), Size: 8})
+			execOne(c, Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: uint64(i * 64)})
 		case 2:
-			c.Exec(&Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1,
-				BrID: uint32(i % 7), Taken: i%3 == 0})
+			execOne(c, Uop{Class: OpBranch, Dst: -1, Src1: -1, Src2: -1, Src3: -1, BrID: uint32(i % 7)}, RegionDyn{Taken: i%3 == 0})
 		case 3:
-			c.Exec(&Uop{Class: OpFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1, Flops: 2})
+			execOne(c, Uop{Class: OpFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1, Flops: 2}, RegionDyn{})
 		}
 	}
 	if got := sink.totals[isa.SigCycle]; got != c.Cycles() {
@@ -405,10 +407,10 @@ func TestUModeVsSModeCycleSplit(t *testing.T) {
 	var sink recordingSink
 	cfg := inOrderConfig()
 	c := NewCore(cfg, &sink)
-	c.Exec(alu(1, -1))
+	execOne(c, alu(1, -1), RegionDyn{})
 	c.SetPriv(isa.PrivS)
 	for i := 0; i < 100; i++ {
-		c.Exec(alu(1, -1))
+		execOne(c, alu(1, -1), RegionDyn{})
 	}
 	c.SetPriv(isa.PrivU)
 	if sink.totals[isa.SigSModeCycle] == 0 {
@@ -427,10 +429,8 @@ func TestSpecFlopsOvercountOnMisses(t *testing.T) {
 	// Strided loads that miss, each followed by FP work: the spec-flop
 	// counter must exceed the true flop count (miss-replay overcount).
 	for i := 0; i < 10_000; i++ {
-		c.Exec(&Uop{Class: OpVecLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1,
-			Addr: uint64(i * 256), Size: 32, Lanes: 8})
-		c.Exec(&Uop{Class: OpVecFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1,
-			Flops: 16, Lanes: 8})
+		execOne(c, Uop{Class: OpVecLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 32, Lanes: 8}, RegionDyn{Addr: uint64(i * 256)})
+		execOne(c, Uop{Class: OpVecFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1, Flops: 16, Lanes: 8}, RegionDyn{})
 	}
 	st := c.Stats()
 	if st.SpecFlops <= st.Flops {
@@ -446,9 +446,8 @@ func TestSpecFlopsNoOvercountWhenResident(t *testing.T) {
 	c := NewCore(oooConfig(), nil)
 	// Warm a single line, then hammer it: no misses, no overcount.
 	for i := 0; i < 1000; i++ {
-		c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1,
-			Addr: 0x40, Size: 8})
-		c.Exec(&Uop{Class: OpFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1, Flops: 2})
+		execOne(c, Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: 0x40})
+		execOne(c, Uop{Class: OpFMA, Dst: 2, Src1: 1, Src2: 2, Src3: -1, Flops: 2}, RegionDyn{})
 	}
 	st := c.Stats()
 	overcount := float64(st.SpecFlops)/float64(st.Flops) - 1
@@ -460,8 +459,7 @@ func TestSpecFlopsNoOvercountWhenResident(t *testing.T) {
 func TestResetRestoresCore(t *testing.T) {
 	c := NewCore(inOrderConfig(), nil)
 	for i := 0; i < 100; i++ {
-		c.Exec(&Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1,
-			Addr: uint64(i * 64), Size: 8})
+		execOne(c, Uop{Class: OpLoad, Dst: 1, Src1: -1, Src2: -1, Src3: -1, Size: 8}, RegionDyn{Addr: uint64(i * 64)})
 	}
 	c.Reset()
 	if c.Cycles() != 0 || c.Instret() != 0 {
@@ -479,9 +477,9 @@ func TestCyclesMonotoneProperty(t *testing.T) {
 	if err := quick.Check(func(sel uint8, dst, src int8, addr uint32, taken bool) bool {
 		before := c.Cycles()
 		cl := classes[int(sel)%len(classes)]
-		u := &Uop{Class: cl, Dst: int32(dst), Src1: int32(src), Src2: -1, Src3: -1,
-			Addr: uint64(addr), Size: 8, BrID: uint32(sel), Taken: taken}
-		c.Exec(u)
+		u := Uop{Class: cl, Dst: int32(dst), Src1: int32(src), Src2: -1, Src3: -1,
+			Size: 8, BrID: uint32(sel)}
+		execOne(c, u, RegionDyn{Addr: uint64(addr), Taken: taken})
 		return c.Cycles() >= before
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -493,7 +491,7 @@ func TestSecondsConversion(t *testing.T) {
 	cfg.FreqHz = 2e9
 	c := NewCore(cfg, nil)
 	for i := 0; i < 1000; i++ {
-		c.Exec(alu(1, -1))
+		execOne(c, alu(1, -1), RegionDyn{})
 	}
 	want := float64(c.Cycles()) / 2e9
 	if got := c.Seconds(); got != want {

@@ -105,7 +105,8 @@ func (c OpClass) IsBranch() bool {
 // Uop is one micro-operation presented to a core. Register operands
 // are abstract slot numbers assigned by the interpreter; the scoreboard
 // hashes them into its dependency table. A negative slot means "no
-// operand".
+// operand". A Uop is a static template: its dynamic operands (address,
+// branch outcome, indirect target) travel beside it in a RegionDyn.
 type Uop struct {
 	Class OpClass
 
@@ -114,14 +115,8 @@ type Uop struct {
 	Src2 int32
 	Src3 int32
 
-	// Memory operands (classes with IsMem() == true).
-	Addr uint64
-	Size int32
-
-	// Branch operands.
-	BrID   uint32 // static branch site identifier
-	Taken  bool   // conditional branch outcome
-	Target uint64 // indirect jump target
+	Size int32  // access size in bytes (classes with IsMem() == true)
+	BrID uint32 // static branch site identifier
 
 	// Retired-work accounting, pre-computed by the interpreter.
 	Flops  uint32 // FLOPs retired (FMA = 2/lane, vector = per-lane sum)

@@ -14,9 +14,11 @@ import (
 // catch a bug in either. Signals without a Stats counter (fp_ops,
 // vec_fp_ops, l1i_*) are not emitted, matching the core.
 
-// refExec charges one uop through the reference rule and delivers its
-// deltas, leaving the flush marks current.
-func (c *Core) refExec(u *Uop) {
+// refExec charges one uop, with its dynamic operands in d, through the
+// reference rule and delivers its deltas, leaving the flush marks
+// current. The uop's registers are used as scoreboard slots unsalted.
+func (c *Core) refExec(uop Uop, d RegionDyn) {
+	u := &uop
 	if !c.sinkMaskValid {
 		c.RefreshSinkMask()
 	}
@@ -28,9 +30,9 @@ func (c *Core) refExec(u *Uop) {
 	var access mem.AccessResult
 	var mispredict bool
 	if c.cfg.Kind == InOrder {
-		access, mispredict = c.refInOrder(u)
+		access, mispredict = c.refInOrder(u, d)
 	} else {
-		access, mispredict = c.refOutOfOrder(u)
+		access, mispredict = c.refOutOfOrder(u, d)
 	}
 
 	// Retired-instruction accounting via per-class expansion.
@@ -53,7 +55,7 @@ func (c *Core) refExec(u *Uop) {
 }
 
 // refInOrder charges time through the register scoreboard.
-func (c *Core) refInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
+func (c *Core) refInOrder(u *Uop, d RegionDyn) (access mem.AccessResult, mispredict bool) {
 	// Stall until all sources are ready.
 	earliest := c.cycles
 	if u.Src1 >= 0 {
@@ -84,10 +86,10 @@ func (c *Core) refInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
 	lat := c.cfg.Latency[u.Class]
 	switch u.Class {
 	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
+		access = c.memh.Access(c.cycles, d.Addr, int(u.Size), false)
 		lat += access.Latency
 	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
+		access = c.memh.Access(c.cycles, d.Addr, int(u.Size), true)
 		// Stores retire through the store buffer at posted-write cost
 		// (bandwidth, not round-trip latency); the pipeline stalls only
 		// when the buffer is full and the oldest entry has not drained.
@@ -104,9 +106,9 @@ func (c *Core) refInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
 		c.storeBuf[c.storeHead] = complete
 		c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
 	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
+		mispredict = c.bp.conditional(u.BrID, d.Taken)
 	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
+		mispredict = c.bp.indirect(u.BrID, d.Target)
 	}
 	if mispredict {
 		c.cycles += c.cfg.MispredictPenalty
@@ -122,7 +124,7 @@ func (c *Core) refInOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
 
 // refOutOfOrder charges time through the analytic model: issue
 // bandwidth plus un-hidable penalties.
-func (c *Core) refOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) {
+func (c *Core) refOutOfOrder(u *Uop, d RegionDyn) (access mem.AccessResult, mispredict bool) {
 	// Issue bandwidth: 1/width cycles per uop, in ×256 fixed point.
 	c.fracCycle += 256 / uint64(c.cfg.IssueWidth)
 	if c.fracCycle >= 256 {
@@ -132,7 +134,7 @@ func (c *Core) refOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) 
 
 	switch u.Class {
 	case OpLoad, OpVecLoad:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), false)
+		access = c.memh.Access(c.cycles, d.Addr, int(u.Size), false)
 		if access.L1Miss {
 			// The window overlaps misses; expose latency/MLP.
 			pen := access.Latency / uint64(c.cfg.MLP)
@@ -141,7 +143,7 @@ func (c *Core) refOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) 
 			c.replayFP = 8 // downstream FP uops re-issue (counter overcount)
 		}
 	case OpStore, OpVecStore:
-		access = c.memh.Access(c.cycles, u.Addr, int(u.Size), true)
+		access = c.memh.Access(c.cycles, d.Addr, int(u.Size), true)
 		complete := c.cycles + access.PostedLatency
 		oldest := c.storeBuf[c.storeHead]
 		if oldest > c.cycles {
@@ -160,9 +162,9 @@ func (c *Core) refOutOfOrder(u *Uop) (access mem.AccessResult, mispredict bool) 
 		c.cycles += pen
 		c.stats.StallCycles += pen
 	case OpBranch:
-		mispredict = c.bp.conditional(u.BrID, u.Taken)
+		mispredict = c.bp.conditional(u.BrID, d.Taken)
 	case OpIndirect:
-		mispredict = c.bp.indirect(u.BrID, u.Target)
+		mispredict = c.bp.indirect(u.BrID, d.Target)
 	}
 	if mispredict {
 		c.cycles += c.cfg.MispredictPenalty

@@ -5,7 +5,8 @@ import "mperf/internal/mem"
 // This file holds the core's charge rule, one loop per pipeline kind.
 // The interpreter records one RegionDyn per micro-op while running a
 // straight-line region's semantics, then charges the whole region
-// through ExecRegion in a single call; Exec is a one-uop region.
+// through ExecRegion in a single call. ExecRegion is the only way to
+// charge a uop.
 // TestRegionMatchesExec pins the loops to the reference stepper kept
 // in the tests.
 

@@ -85,7 +85,7 @@ func forEachRegion(n int, f func(i, end int)) {
 
 // saltedUop materializes uop i of a template stream the way the
 // reference stepper consumes it: registers salted into scoreboard
-// slots, dynamic operands overlaid.
+// slots. Its dynamic operands stay in dyn[i].
 func saltedUop(tmpl []Uop, dyn []RegionDyn, i int, salt uint32) Uop {
 	slot := func(r int32) int32 {
 		if r < 0 {
@@ -95,7 +95,6 @@ func saltedUop(tmpl []Uop, dyn []RegionDyn, i int, salt uint32) Uop {
 	}
 	u := tmpl[i]
 	u.Dst, u.Src1, u.Src2, u.Src3 = slot(u.Dst), slot(u.Src1), slot(u.Src2), slot(u.Src3)
-	u.Addr, u.Taken, u.Target = dyn[i].Addr, dyn[i].Taken, dyn[i].Target
 	return u
 }
 
@@ -134,8 +133,7 @@ func TestRegionMatchesExec(t *testing.T) {
 				region := NewCore(cfg, sinkB)
 
 				for i := range tmpl {
-					u := saltedUop(tmpl, dyn, i, salt)
-					perUop.refExec(&u)
+					perUop.refExec(saltedUop(tmpl, dyn, i, salt), dyn[i])
 				}
 				perUop.FlushEvents()
 
@@ -206,8 +204,7 @@ func TestPerUopBatchesMatchReference(t *testing.T) {
 				ref.SetPriv(p)
 				core.SetPriv(p)
 				for j := i; j < end; j++ {
-					u := saltedUop(tmpl, dyn, j, salt)
-					ref.refExec(&u)
+					ref.refExec(saltedUop(tmpl, dyn, j, salt), dyn[j])
 				}
 				ref.FlushEvents()
 				core.ExecRegion(tmpl[i:end], dyn[i:end], salt)

@@ -46,16 +46,19 @@ func deferrableSpec() pmu.Spec {
 
 // deferralStream is a deterministic mixed uop stream: memory traffic
 // over a working set larger than L2, biased and random branches,
-// indirect jumps, divides and scalar and vector FP work.
-func deferralStream(n int) []machine.Uop {
+// indirect jumps, divides and scalar and vector FP work. Dynamic
+// operands (addresses, branch outcomes, indirect targets) are in the
+// parallel dyn slice, as the VM hands them to ExecRegion.
+func deferralStream(n int) ([]machine.Uop, []machine.RegionDyn) {
 	seed := uint64(0x5EED)
 	next := func() uint64 {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		return seed >> 33
 	}
 	us := make([]machine.Uop, n)
+	dyn := make([]machine.RegionDyn, n)
 	for i := range us {
-		u := &us[i]
+		u, d := &us[i], &dyn[i]
 		u.Dst, u.Src1, u.Src2, u.Src3 = -1, -1, -1, -1
 		switch next() % 10 {
 		case 0, 1:
@@ -64,15 +67,15 @@ func deferralStream(n int) []machine.Uop {
 		case 2:
 			u.Class, u.Size = machine.OpLoad, 8
 			u.Dst = int32(next() % 64)
-			u.Addr = 0x2000 + next()%(4<<20)
+			d.Addr = 0x2000 + next()%(4<<20)
 		case 3:
 			u.Class, u.Size = machine.OpStore, 8
 			u.Src1 = int32(next() % 64)
-			u.Addr = 0x2000 + next()%(4<<20)
+			d.Addr = 0x2000 + next()%(4<<20)
 		case 4:
 			u.Class, u.Size, u.Lanes = machine.OpVecLoad, 32, 8
 			u.Dst = int32(next() % 64)
-			u.Addr = 0x2000 + next()%(1<<16)
+			d.Addr = 0x2000 + next()%(1<<16)
 		case 5:
 			u.Class, u.Flops, u.Lanes = machine.OpVecFMA, 16, 8
 			u.Dst, u.Src1, u.Src2 = int32(next()%64), int32(next()%64), int32(next()%64)
@@ -82,40 +85,36 @@ func deferralStream(n int) []machine.Uop {
 		case 7:
 			u.Class = machine.OpBranch
 			u.BrID = uint32(next()%16) + 1
-			u.Taken = next()%3 == 0
+			d.Taken = next()%3 == 0
 		case 8:
 			u.Class = machine.OpIndirect
 			u.BrID = uint32(next()%8) + 1
-			u.Target = 0xA000 + (next()%4)*0x40
+			d.Target = 0xA000 + (next()%4)*0x40
 		case 9:
 			u.Class, u.IntOps = machine.OpIntDiv, 1
 			u.Dst, u.Src1 = int32(next()%64), int32(next()%64)
 		}
 	}
-	return us
+	return us, dyn
 }
 
-// drive charges the stream in irregular chunks, alternating per-uop
-// Exec with ExecRegion (salt 0, so raw register ids are the slots) and
-// flushing at every chunk edge like a block boundary. Every 97 chunks
-// it switches privilege mode after a flush, the way a trap entry
-// would, so every mode-cycle signal fires.
-func drive(c *machine.Core, us []machine.Uop) {
+// drive charges the stream in irregular chunks through ExecRegion
+// (salt 0, so raw register ids are the slots), alternating one-uop
+// regions with whole-chunk regions and flushing at every chunk edge
+// like a block boundary. Every 97 chunks it switches privilege mode
+// after a flush, the way a trap entry would, so every mode-cycle
+// signal fires.
+func drive(c *machine.Core, us []machine.Uop, dyn []machine.RegionDyn) {
 	sizes := []int{1, 7, 2, 31, 3, 64, 5, 17, 11, 1, 128, 23}
 	modes := []isa.PrivMode{isa.PrivU, isa.PrivS, isa.PrivM, isa.PrivU}
-	dyn := make([]machine.RegionDyn, 128)
 	for i, s := 0, 0; i < len(us); i, s = i+sizes[s%len(sizes)], s+1 {
 		end := min(i+sizes[s%len(sizes)], len(us))
 		if s%2 == 0 {
 			for j := i; j < end; j++ {
-				c.Exec(&us[j])
+				c.ExecRegion(us[j:j+1], dyn[j:j+1], 0)
 			}
 		} else {
-			for j := i; j < end; j++ {
-				u := &us[j]
-				dyn[j-i] = machine.RegionDyn{Addr: u.Addr, Taken: u.Taken, Target: u.Target}
-			}
-			c.ExecRegion(us[i:end], dyn[:end-i], 0)
+			c.ExecRegion(us[i:end], dyn[i:end], 0)
 		}
 		c.FlushEvents()
 		if s%97 == 96 {
@@ -133,7 +132,7 @@ func drive(c *machine.Core, us []machine.Uop) {
 // privilege switches in the stream. Count counters start only after a
 // time-only phase, so stale count marks would replay that phase.
 func TestDeferredMatchesPerUop(t *testing.T) {
-	us := deferralStream(60_000)
+	us, dyn := deferralStream(60_000)
 	half := len(us) / 2
 	for _, plat := range []*platform.Platform{platform.X60(), platform.C910(), platform.I5_1135G7()} {
 		t.Run(plat.Name, func(t *testing.T) {
@@ -169,13 +168,13 @@ func TestDeferredMatchesPerUop(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					start(s, pmu.FirstHPM+i, isa.RawEvent(uint32(i)))
 				}
-				drive(s.core, us[:half])
+				drive(s.core, us[:half], dyn[:half])
 				// Phase 2: every deferrable signal.
 				for i := 3; i < len(deferrableSignals); i++ {
 					start(s, pmu.FirstHPM+i, isa.RawEvent(uint32(i)))
 				}
 				s.core.RefreshSinkMask()
-				drive(s.core, us[half:])
+				drive(s.core, us[half:], dyn[half:])
 			}
 			if deferred.core.SamplingActive() || !ref.core.SamplingActive() {
 				t.Fatal("the reference must deliver per uop and the deferred side must not")
@@ -231,9 +230,9 @@ func TestDeferredDeliveryIsRegionGranular(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	us := deferralStream(5_000)
+	us, dyn := deferralStream(5_000)
 	for i := range us {
-		c.Exec(&us[i])
+		c.ExecRegion(us[i:i+1], dyn[i:i+1], 0)
 	}
 	if sink.applies != 0 {
 		t.Fatalf("%d batches delivered before the flush, want 0", sink.applies)

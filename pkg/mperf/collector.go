@@ -149,9 +149,7 @@ func (recordCollector) Collect(s *Session, p *Profile) error {
 			IPC:          h.IPC,
 		})
 	}
-	if p.IPC == 0 {
-		p.IPC = m.Hart().Core.Stats().IPC()
-	}
+	p.IPC = m.Hart().Core.Stats().IPC()
 	m.Release()
 	return nil
 }

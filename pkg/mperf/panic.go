@@ -45,8 +45,8 @@ func IsPanic(err error) bool {
 
 // collectorError builds the Profile's typed per-collector error entry,
 // marking contained panics so callers can distinguish "this collector
-// cannot run here" from "this collector crashed". Run and RunStream
-// share it, which keeps their error encodings byte-identical.
+// cannot run here" from "this collector crashed". RunStream, and so
+// Run, records every collector failure through it.
 func collectorError(name string, err error) CollectorError {
 	ce := CollectorError{Collector: name, Message: err.Error()}
 	var pe *PanicError

@@ -359,21 +359,5 @@ func (s *Session) instantiate(optimize, instrument bool) (*vm.Machine, error) {
 // typed error on the profile rather than aborting the remaining
 // collectors; Run itself errors only on misuse (no collectors).
 func (s *Session) Run(collectors ...Collector) (*Profile, error) {
-	if len(collectors) == 0 {
-		return nil, errNoCollectors()
-	}
-	p := s.NewProfile()
-	compiled0, hits0, disk0 := s.compiled.Load(), s.hits.Load(), s.diskHits.Load()
-	for _, c := range collectors {
-		p.Collectors = append(p.Collectors, c.Name())
-		if err := s.collect(context.Background(), c, p); err != nil {
-			p.Errors = append(p.Errors, collectorError(c.Name(), err))
-		}
-	}
-	p.CompileStats = &CompileStats{
-		Compiled:  s.compiled.Load() - compiled0,
-		CacheHits: s.hits.Load() - hits0,
-		DiskHits:  s.diskHits.Load() - disk0,
-	}
-	return p, nil
+	return s.RunStream(context.Background(), nil, collectors...)
 }

@@ -2,16 +2,15 @@ package mperf
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"errors"
 )
 
 // CollectorResult is one collector's completed slice of a profile,
 // emitted by RunStream as soon as that collector finishes. Seq is the
-// completion order (0-based); Partial carries only the fields this
+// collector's 0-based index in the declared order, which is also the
+// order results are emitted in; Partial carries only the fields this
 // collector populated (plus the profile header), so a streaming
-// consumer can render sections incrementally without waiting for the
-// slowest collector.
+// consumer can render sections as they arrive.
 type CollectorResult struct {
 	Collector string   `json:"collector"`
 	Seq       int      `json:"seq"`
@@ -30,74 +29,46 @@ func (s *Session) NewProfile() *Profile {
 	}
 }
 
-// RunStream is Run with streaming: collectors execute concurrently
-// (each on its own machine instantiated from the shared cached
-// program, so a slow collector never blocks a fast one), sink is
-// invoked in completion order with each collector's partial result,
-// and the partials are then merged in declared order into one Profile
-// whose JSON encoding is bit-identical to what sequential Run
-// produces for the same session — merge order, the stat-over-record
-// IPC precedence, error ordering and CompileStats accounting all
-// replicate Run's sequential semantics. This is the request path of
-// the mperfd daemon; Run remains the simple in-process path.
+// RunStream runs the collectors one after another, in declared order,
+// on the caller's goroutine. Each collector fills a fresh partial
+// profile on its own machine, and sink (if non-nil) receives that
+// partial as soon as the collector finishes. Each partial is folded,
+// in declared order, into one Profile by mergeSection, with each
+// failure recorded as a typed collector error and CompileStats
+// counting the programs this call compiled or loaded. The merged
+// profile is the same with or without a sink. This is the only
+// collector runner: Run is RunStream without a sink.
 //
-// A nil sink just disables streaming. If ctx is cancelled, collectors
-// that have not started are skipped (recorded as collector errors),
-// running collectors are waited for — simulation is not interruptible
-// mid-run, and waiting guarantees their machines are Released back to
-// the program pool before RunStream returns — and the context error
-// is returned alongside the partial profile.
+// If ctx is cancelled, collectors that have not started are skipped
+// (recorded as collector errors), nothing more is streamed, and the
+// context error is returned alongside the partial profile. A running
+// collector is not interrupted: simulation is not interruptible
+// mid-run.
 func (s *Session) RunStream(ctx context.Context, sink func(CollectorResult), collectors ...Collector) (*Profile, error) {
 	if len(collectors) == 0 {
-		return nil, errNoCollectors()
+		return nil, errors.New("mperf: Run needs at least one collector")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	compiled0, hits0, disk0 := s.compiled.Load(), s.hits.Load(), s.diskHits.Load()
 
-	partials := make([]*Profile, len(collectors))
-	errs := make([]error, len(collectors))
-
-	var (
-		emitMu sync.Mutex
-		seq    int
-		wg     sync.WaitGroup
-	)
-	emit := func(i int) {
-		if sink == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if ctx.Err() != nil {
-			return // the consumer is gone; stop streaming
-		}
-		res := CollectorResult{Collector: collectors[i].Name(), Seq: seq, Partial: partials[i]}
-		if errs[i] != nil {
-			res.Error = errs[i].Error()
-		}
-		seq++
-		sink(res)
-	}
-	for i, c := range collectors {
-		wg.Add(1)
-		go func(i int, c Collector) {
-			defer wg.Done()
-			partials[i] = s.NewProfile()
-			partials[i].Collectors = []string{c.Name()}
-			errs[i] = s.collect(ctx, c, partials[i])
-			emit(i)
-		}(i, c)
-	}
-	wg.Wait()
-
 	final := s.NewProfile()
 	for i, c := range collectors {
+		partial := s.NewProfile()
+		partial.Collectors = []string{c.Name()}
+		err := s.collect(ctx, c, partial)
 		final.Collectors = append(final.Collectors, c.Name())
-		mergeSection(final, c.Name(), partials[i])
-		if errs[i] != nil {
-			final.Errors = append(final.Errors, collectorError(c.Name(), errs[i]))
+		mergeSection(final, c.Name(), partial)
+		if err != nil {
+			final.Errors = append(final.Errors, collectorError(c.Name(), err))
+		}
+		if sink != nil && ctx.Err() == nil {
+			res := CollectorResult{Collector: c.Name(), Seq: i, Partial: partial}
+			if err != nil {
+				res.Error = err.Error()
+			}
+			sink(res)
 		}
 	}
 	final.CompileStats = &CompileStats{
@@ -108,17 +79,11 @@ func (s *Session) RunStream(ctx context.Context, sink func(CollectorResult), col
 	return final, ctx.Err()
 }
 
-// errNoCollectors is the shared misuse error of Run and RunStream.
-func errNoCollectors() error {
-	return fmt.Errorf("mperf: Run needs at least one collector")
-}
-
-// mergeSection folds one collector's partial profile into dst,
-// replicating the write each built-in collector performs against a
-// sequentially-shared profile. The record collector only claims the
-// profile-level IPC when no earlier section set it — exactly its
-// `if p.IPC == 0` behaviour under sequential Run — while stat always
-// wins. Unknown (externally registered) collectors get the generic
+// mergeSection folds one collector's partial profile into dst. Each
+// built-in collector owns its sections and copies them over whole. The
+// profile-level IPC is stat's whenever stat ran; record supplies it
+// only when no earlier section set it, so stat wins in either order.
+// Unknown (externally registered) collectors get the generic
 // copy-non-zero-sections rule.
 func mergeSection(dst *Profile, name string, src *Profile) {
 	if src == nil {

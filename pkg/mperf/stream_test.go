@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mperf/pkg/mperf"
 )
@@ -21,11 +23,11 @@ func streamOpts(cache *mperf.ProgramCache) []mperf.Option {
 	}
 }
 
-// TestRunStreamMatchesRun pins the daemon's core invariant: the
-// merged profile RunStream assembles from concurrently executed
-// collectors is byte-identical (JSON) to what sequential Run produces
-// — including CompileStats, since the singleflight cache collapses
-// the concurrent compiles exactly like the sequential path.
+// TestRunStreamMatchesRun pins the daemon's core invariant: a sink
+// observes the run but cannot change it. The merged profile RunStream
+// returns while streaming every partial to a sink is byte-identical
+// (JSON) to what Run, which streams nothing, produces for the same
+// request, CompileStats included.
 func TestRunStreamMatchesRun(t *testing.T) {
 	for _, platName := range []string{"x60", "i5", "u74"} {
 		for _, wl := range []string{"dot", "matmul", "sqlite"} {
@@ -38,7 +40,13 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				}
 				var prof *mperf.Profile
 				if stream {
-					prof, err = sess.RunStream(context.Background(), nil, mperf.MustCollectors(collectors...)...)
+					var streamed []mperf.CollectorResult
+					prof, err = sess.RunStream(context.Background(), func(res mperf.CollectorResult) {
+						streamed = append(streamed, res)
+					}, mperf.MustCollectors(collectors...)...)
+					if len(streamed) != len(collectors) {
+						t.Errorf("%s × %s: %d results streamed, want %d", platName, wl, len(streamed), len(collectors))
+					}
 				} else {
 					prof, err = sess.Run(mperf.MustCollectors(collectors...)...)
 				}
@@ -55,7 +63,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			sequential := run(false)
 			streamed := run(true)
 			if !bytes.Equal(sequential, streamed) {
-				t.Errorf("%s × %s: streamed profile diverged from sequential Run:\nseq:    %s\nstream: %s",
+				t.Errorf("%s × %s: streamed profile diverged from Run:\nrun:    %s\nstream: %s",
 					platName, wl, sequential, streamed)
 			}
 		}
@@ -63,20 +71,18 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestRunStreamCompletionOrder checks the streaming contract: one
-// result per collector, contiguous Seq in emission order, partials
-// carrying that collector's section.
+// result per collector, emitted in declared order with Seq equal to
+// the collector's index, partials carrying that collector's section.
 func TestRunStreamCompletionOrder(t *testing.T) {
 	sess, err := mperf.Open("x60", "dot", streamOpts(mperf.NewProgramCache())...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
 	var results []mperf.CollectorResult
+	declared := []string{"stat", "topdown", "record"}
 	prof, err := sess.RunStream(context.Background(), func(res mperf.CollectorResult) {
-		mu.Lock()
-		defer mu.Unlock()
 		results = append(results, res)
-	}, mperf.MustCollectors("stat", "topdown", "record")...)
+	}, mperf.MustCollectors(declared...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +91,9 @@ func TestRunStreamCompletionOrder(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i, res := range results {
-		if res.Seq != i {
-			t.Errorf("result %d has seq %d (sink must observe completion order)", i, res.Seq)
+		if res.Seq != i || res.Collector != declared[i] {
+			t.Errorf("result %d is %s with seq %d, want %s with seq %d (declared order)",
+				i, res.Collector, res.Seq, declared[i], i)
 		}
 		if res.Error != "" {
 			t.Errorf("collector %s failed: %s", res.Collector, res.Error)
@@ -140,5 +147,65 @@ func TestRunStreamCancelled(t *testing.T) {
 	}
 	if len(prof.Errors) != 2 {
 		t.Errorf("profile records %d errors, want 2 (both collectors skipped): %v", len(prof.Errors), prof.Errors)
+	}
+}
+
+// probeCollector is a test-local collector that records how many
+// Collect calls are in flight at once.
+type probeCollector struct {
+	name     string
+	inFlight *atomic.Int32
+	peak     *atomic.Int32
+}
+
+func (c probeCollector) Name() string { return c.name }
+
+func (c probeCollector) Collect(*mperf.Session, *mperf.Profile) error {
+	n := c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
+	for {
+		p := c.peak.Load()
+		if n <= p || c.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	return nil
+}
+
+// TestRunStreamRunsOneCollectorAtATime pins the runner's execution
+// model: collectors run one after another in declared order, so a
+// request never holds more than one collector's machine at a time, and
+// the sink sees Seq 0, 1, 2 in that order.
+func TestRunStreamRunsOneCollectorAtATime(t *testing.T) {
+	sess, err := mperf.Open("x60", "dot", streamOpts(mperf.NewProgramCache())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight, peak atomic.Int32
+	names := []string{"probe-a", "probe-b", "probe-c"}
+	var cols []mperf.Collector
+	for _, n := range names {
+		cols = append(cols, probeCollector{name: n, inFlight: &inFlight, peak: &peak})
+	}
+	var mu sync.Mutex
+	var results []mperf.CollectorResult
+	if _, err := sess.RunStream(context.Background(), func(res mperf.CollectorResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		results = append(results, res)
+	}, cols...); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != 1 {
+		t.Errorf("peak Collect calls in flight = %d, want 1", got)
+	}
+	if len(results) != len(names) {
+		t.Fatalf("got %d streamed results, want %d", len(results), len(names))
+	}
+	for i, res := range results {
+		if res.Seq != i || res.Collector != names[i] {
+			t.Errorf("result %d is %s with seq %d, want %s with seq %d", i, res.Collector, res.Seq, names[i], i)
+		}
 	}
 }

@@ -348,7 +348,7 @@ func decodeError(resp *http.Response) error {
 
 // Profile sends one profile request and consumes the NDJSON stream.
 // onFrame (optional) sees every frame as it arrives — partial
-// collector results in completion order, then the terminal frame.
+// collector results in declared order, then the terminal frame.
 // The returned profile is the daemon's merged result.
 //
 // Backpressure and connection failures before the stream starts are

@@ -30,7 +30,7 @@ const SessionHeader = "Mperfd-Session"
 //	POST /v1/matrix      matrix sweep → MatrixResponse
 //
 // /v1/profile streams: one type="collector" Frame per collector in
-// completion order, then a terminal type="profile" Frame whose
+// declared order, as each finishes, then a terminal type="profile" Frame whose
 // profile is bit-identical to the equivalent in-process run. Failure
 // mapping: a full queue or a session over its rate/quota limits is
 // 429 with a Retry-After computed from real queue depth and drain

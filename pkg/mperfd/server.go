@@ -18,9 +18,11 @@
 // 429) and are drained by a fixed worker pool. Each request opens a
 // cheap mperf.Session against the server's shared ProgramCache, so
 // after the first wave of compiles every request is pure warm
-// instantiation; collectors inside one request run concurrently via
-// Session.RunStream and their machines are released back to the
-// program pools even when the client goes away mid-request.
+// instantiation. Collectors inside one request run one at a time, in
+// declared order, on the worker's goroutine via Session.RunStream, so
+// a request holds one machine at a time and the worker pool stays the
+// daemon's unit of parallelism; each machine is released back to its
+// program pool even when the client goes away mid-request.
 //
 // Failure semantics: the daemon is built to degrade, never to die.
 // A panic anywhere in a job — a collector, a compile, the worker
@@ -382,8 +384,8 @@ func (s *Server) submit(ctx context.Context, j *job) (jobResult, error) {
 }
 
 // Profile runs one profile request through the queue. sink (optional)
-// receives each collector's partial result in completion order, from
-// the worker goroutine. The returned profile is bit-identical to an
+// receives each collector's partial result in declared order, from
+// the worker goroutine, as each collector finishes. The returned profile is bit-identical to an
 // in-process Session.Run of the same request (modulo CompileStats,
 // which reflect this daemon's warm cache).
 func (s *Server) Profile(ctx context.Context, cs *ClientSession, req ProfileRequest, sink func(mperf.CollectorResult)) (*mperf.Profile, error) {

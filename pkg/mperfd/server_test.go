@@ -97,7 +97,7 @@ func marshalNoCompileStats(t *testing.T, prof *mperf.Profile) []byte {
 }
 
 // TestHTTPProfileStream pins the HTTP streaming contract: collector
-// frames in completion order (contiguous seq, one per collector),
+// frames in declared order (contiguous seq, one per collector),
 // then exactly one terminal profile frame whose content is
 // bit-identical to the in-process run of the same request.
 func TestHTTPProfileStream(t *testing.T) {
@@ -128,7 +128,7 @@ func TestHTTPProfileStream(t *testing.T) {
 			t.Fatalf("frame %d: %+v, want a collector result", i, f)
 		}
 		if f.Result.Seq != i {
-			t.Errorf("frame %d has seq %d, want completion order", i, f.Result.Seq)
+			t.Errorf("frame %d has seq %d, want declared order", i, f.Result.Seq)
 		}
 		seen[f.Result.Collector] = true
 	}

@@ -135,10 +135,10 @@ type HealthResponse struct {
 
 // Frame is one message of a streamed response, shared verbatim by the
 // HTTP NDJSON stream and the stdio transport: a sequence of
-// type="collector" frames in completion order, terminated by exactly
-// one type="profile" (the merged result) or type="error" frame. The
-// stdio transport additionally threads the request ID through every
-// frame; over HTTP the connection is the correlation.
+// type="collector" frames in declared collector order, terminated by
+// exactly one type="profile" (the merged result) or type="error"
+// frame. The stdio transport additionally threads the request ID
+// through every frame; over HTTP the connection is the correlation.
 type Frame struct {
 	ID   string `json:"id,omitempty"`
 	Type string `json:"type"`
