@@ -383,6 +383,47 @@ func TestRingBufferDrainOrder(t *testing.T) {
 	}
 }
 
+// TestRingBufferGrowsOnDemand pins the on-demand ring: a new buffer
+// holds no backing array, Lost counts exactly past the capacity, and
+// records keep their order across drain-and-refill.
+func TestRingBufferGrowsOnDemand(t *testing.T) {
+	rb := NewRingBuffer(RingBufferSize)
+	if rb.records != nil || rb.Cap() != RingBufferSize || rb.Len() != 0 {
+		t.Fatalf("new ring holds %d records of backing array, cap %d; want none, cap %d",
+			cap(rb.records), rb.Cap(), RingBufferSize)
+	}
+	if recs := rb.Drain(); len(recs) != 0 {
+		t.Errorf("empty drain returned %d records", len(recs))
+	}
+
+	small := NewRingBuffer(5)
+	for i := 0; i < 12; i++ {
+		small.Push(SampleRecord{IP: uint64(i)})
+	}
+	if small.Lost != 7 || small.Len() != 5 {
+		t.Errorf("after 12 pushes into 5: lost %d, len %d; want 7, 5", small.Lost, small.Len())
+	}
+	recs := small.Drain()
+	for i, r := range recs {
+		if r.IP != uint64(i) {
+			t.Fatalf("record %d has IP %d, want %d (earliest kept, in order)", i, r.IP, i)
+		}
+	}
+	if small.records != nil {
+		t.Error("drain must hand the records over and reset the ring")
+	}
+	for i := 100; i < 103; i++ {
+		small.Push(SampleRecord{IP: uint64(i)})
+	}
+	recs2 := small.Drain()
+	if len(recs2) != 3 || recs2[0].IP != 100 || recs2[2].IP != 102 || small.Lost != 7 {
+		t.Errorf("refill after drain: %+v, lost %d", recs2, small.Lost)
+	}
+	if recs[0].IP != 0 || recs[4].IP != 4 {
+		t.Error("refill overwrote records already handed over")
+	}
+}
+
 func TestBadFDErrors(t *testing.T) {
 	r := newRig(fullPMUSpec())
 	if err := r.k.Enable(99); !errors.Is(err, ErrBadFD) {

@@ -90,6 +90,10 @@ type Core struct {
 	memh *mem.Hierarchy
 	bp   *branchPredictor
 
+	// expand is cfg.expansion per op class, filled once by NewCore for
+	// the charge loops.
+	expand [NumOpClasses]uint64
+
 	cycles    uint64
 	issued    int    // uops issued in the current cycle
 	instretFx uint64 // retired instructions ×256 (fixed point)
@@ -155,6 +159,9 @@ func NewCore(cfg Config, sink EventSink) *Core {
 		bp:       newBranchPredictor(cfg.PredictorBits, cfg.BTBBits, indirectHistory(cfg)),
 		storeBuf: make([]uint64, cfg.StoreBufferEntries),
 		priv:     isa.PrivU,
+	}
+	for class := range c.expand {
+		c.expand[class] = uint64(cfg.expansion(OpClass(class)))
 	}
 	if cfg.TimerIntervalCycles > 0 {
 		c.nextTimer = cfg.TimerIntervalCycles

@@ -7,8 +7,15 @@ import "mperf/internal/mem"
 // straight-line region's semantics, then charges the whole region
 // through ExecRegion in a single call. ExecRegion is the only way to
 // charge a uop.
-// TestRegionMatchesExec pins the loops to the reference stepper kept
-// in the tests.
+//
+// Each loop keeps the core's running state (clock, issue slot or
+// fraction, replay count, timer, store-buffer head) and the region's
+// count sums in locals and writes them back once at the end of the
+// region. Nothing the loop calls reads them: the memory hierarchy is
+// handed the local clock, and FlushEvents only runs between charges.
+// The per-uop order of scoreboard, store buffer, predictor, timer and
+// replay rule is the reference stepper's, which TestRegionMatchesExec
+// and TestPerUopBatchesMatchReference pin.
 
 // RegionDyn carries the dynamic operands of one micro-op in a fused
 // region: the memory address, conditional-branch outcome and indirect
@@ -90,11 +97,14 @@ func (c *Core) charge(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 // add their access latency to the destination's ready time, stores
 // drain through the store buffer, and mispredicts flush the pipeline.
 func (c *Core) chargeInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
+	cycles, issued, replayFP := c.cycles, c.issued, c.replayFP
+	nextTimer, storeHead := c.nextTimer, c.storeHead
+	var instretFx, stall, loads, stores, flops, specFlops, intOps uint64
 	for i := range tmpl {
 		u := &tmpl[i]
 
 		// Stall until all sources are ready.
-		earliest := c.cycles
+		earliest := cycles
 		if u.Src1 >= 0 {
 			if r := c.ready[(uint32(u.Src1)+salt)&(scoreboardSize-1)]; r > earliest {
 				earliest = r
@@ -110,84 +120,88 @@ func (c *Core) chargeInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 				earliest = r
 			}
 		}
-		if earliest > c.cycles {
-			c.stats.StallCycles += earliest - c.cycles
-			c.cycles = earliest
-			c.issued = 0
+		if earliest > cycles {
+			stall += earliest - cycles
+			cycles = earliest
+			issued = 0
 		}
-		if c.issued >= c.cfg.IssueWidth {
-			c.cycles++
-			c.issued = 0
+		if issued >= c.cfg.IssueWidth {
+			cycles++
+			issued = 0
 		}
 
 		lat := c.cfg.Latency[u.Class]
 		switch u.Class {
 		case OpLoad, OpVecLoad:
-			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), false)
+			access := c.memh.Access(cycles, dyn[i].Addr, int(u.Size), false)
 			lat += access.Latency
 			c.chargeAccess(access)
-			c.stats.Loads++
+			loads++
 		case OpStore, OpVecStore:
-			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), true)
+			access := c.memh.Access(cycles, dyn[i].Addr, int(u.Size), true)
 			// Stores retire through the store buffer at posted-write cost
 			// (bandwidth, not round-trip latency); the pipeline stalls
 			// only when the buffer is full and the oldest entry has not
 			// drained.
-			complete := c.cycles + access.PostedLatency
-			oldest := c.storeBuf[c.storeHead]
-			if oldest > c.cycles {
-				c.stats.StallCycles += oldest - c.cycles
-				c.cycles = oldest
-				c.issued = 0
-				if complete < c.cycles {
-					complete = c.cycles
+			complete := cycles + access.PostedLatency
+			oldest := c.storeBuf[storeHead]
+			if oldest > cycles {
+				stall += oldest - cycles
+				cycles = oldest
+				issued = 0
+				if complete < cycles {
+					complete = cycles
 				}
 			}
-			c.storeBuf[c.storeHead] = complete
-			c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
+			c.storeBuf[storeHead] = complete
+			if storeHead++; storeHead == len(c.storeBuf) {
+				storeHead = 0
+			}
 			c.chargeAccess(access)
-			c.stats.Stores++
+			stores++
 		case OpBranch:
 			if c.bp.conditional(u.BrID, dyn[i].Taken) {
-				c.cycles += c.cfg.MispredictPenalty
-				c.issued = 0
+				cycles += c.cfg.MispredictPenalty
+				issued = 0
 			}
 		case OpIndirect:
 			if c.bp.indirect(u.BrID, dyn[i].Target) {
-				c.cycles += c.cfg.MispredictPenalty
-				c.issued = 0
+				cycles += c.cfg.MispredictPenalty
+				issued = 0
 			}
 		}
 
-		c.issued++
+		issued++
 		if u.Dst >= 0 {
-			c.ready[(uint32(u.Dst)+salt)&(scoreboardSize-1)] = c.cycles + lat
+			c.ready[(uint32(u.Dst)+salt)&(scoreboardSize-1)] = cycles + lat
 		}
 
 		// Retired-instruction accounting via per-class expansion.
-		c.instretFx += uint64(c.cfg.expansion(u.Class))
-		c.stats.Uops++
+		instretFx += c.expand[u.Class]
 
 		// OS timer tick: periodically spend handler time in S-mode.
-		if c.nextTimer != 0 && c.cycles >= c.nextTimer {
+		if nextTimer != 0 && cycles >= nextTimer {
 			timerCycles := c.cfg.TimerHandlerCycles
-			c.cycles += timerCycles
+			cycles += timerCycles
 			// The handler retires roughly one instruction per cycle.
-			c.instretFx += timerCycles << 8
-			c.nextTimer += c.cfg.TimerIntervalCycles
+			instretFx += timerCycles << 8
+			nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
 		}
 
-		flops := uint64(u.Flops)
-		specFlops := flops
-		if flops > 0 && c.replayFP > 0 {
-			specFlops += flops
-			c.replayFP--
+		if f := uint64(u.Flops); f > 0 {
+			flops += f
+			specFlops += f
+			if replayFP > 0 {
+				specFlops += f
+				replayFP--
+			}
 		}
-		c.stats.Flops += flops
-		c.stats.SpecFlops += specFlops
-		c.stats.IntOps += uint64(u.IntOps)
+		intOps += uint64(u.IntOps)
 	}
+	c.cycles, c.issued, c.replayFP = cycles, issued, replayFP
+	c.nextTimer, c.storeHead = nextTimer, storeHead
+	c.settle(len(tmpl), instretFx, stall, loads, stores, flops, specFlops, intOps)
 }
 
 // chargeOutOfOrder charges time through the analytic out-of-order
@@ -196,85 +210,105 @@ func (c *Core) chargeInOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 // buffer, long-latency dividers and mispredicts).
 func (c *Core) chargeOutOfOrder(tmpl []Uop, dyn []RegionDyn, salt uint32) {
 	issueFx := 256 / uint64(c.cfg.IssueWidth)
+	cycles, fracCycle, replayFP := c.cycles, c.fracCycle, c.replayFP
+	nextTimer, storeHead := c.nextTimer, c.storeHead
+	var instretFx, stall, loads, stores, flops, specFlops, intOps uint64
 	for i := range tmpl {
 		u := &tmpl[i]
 
 		// Issue bandwidth: 1/width cycles per uop, in ×256 fixed point.
-		c.fracCycle += issueFx
-		if c.fracCycle >= 256 {
-			c.cycles += c.fracCycle >> 8
-			c.fracCycle &= 255
+		fracCycle += issueFx
+		if fracCycle >= 256 {
+			cycles += fracCycle >> 8
+			fracCycle &= 255
 		}
 
 		switch u.Class {
 		case OpLoad, OpVecLoad:
-			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), false)
+			access := c.memh.Access(cycles, dyn[i].Addr, int(u.Size), false)
 			if access.L1Miss {
 				// The window overlaps misses; expose latency/MLP.
 				pen := access.Latency / uint64(c.cfg.MLP)
-				c.cycles += pen
-				c.stats.StallCycles += pen
-				c.replayFP = 8 // downstream FP uops re-issue (counter overcount)
+				cycles += pen
+				stall += pen
+				replayFP = 8 // downstream FP uops re-issue (counter overcount)
 			}
 			c.chargeAccess(access)
-			c.stats.Loads++
+			loads++
 		case OpStore, OpVecStore:
-			access := c.memh.Access(c.cycles, dyn[i].Addr, int(u.Size), true)
-			complete := c.cycles + access.PostedLatency
-			oldest := c.storeBuf[c.storeHead]
-			if oldest > c.cycles {
+			access := c.memh.Access(cycles, dyn[i].Addr, int(u.Size), true)
+			complete := cycles + access.PostedLatency
+			oldest := c.storeBuf[storeHead]
+			if oldest > cycles {
 				// Store buffer full behind a saturated channel.
-				c.stats.StallCycles += oldest - c.cycles
-				c.cycles = oldest
-				if complete < c.cycles {
-					complete = c.cycles
+				stall += oldest - cycles
+				cycles = oldest
+				if complete < cycles {
+					complete = cycles
 				}
 			}
-			c.storeBuf[c.storeHead] = complete
-			c.storeHead = (c.storeHead + 1) % len(c.storeBuf)
+			c.storeBuf[storeHead] = complete
+			if storeHead++; storeHead == len(c.storeBuf) {
+				storeHead = 0
+			}
 			c.chargeAccess(access)
-			c.stats.Stores++
+			stores++
 		case OpIntDiv, OpFPDiv:
 			// Partially pipelined long-latency units.
 			pen := c.cfg.Latency[u.Class] / 2
-			c.cycles += pen
-			c.stats.StallCycles += pen
+			cycles += pen
+			stall += pen
 		case OpBranch:
 			if c.bp.conditional(u.BrID, dyn[i].Taken) {
-				c.cycles += c.cfg.MispredictPenalty
-				c.stats.StallCycles += c.cfg.MispredictPenalty
+				cycles += c.cfg.MispredictPenalty
+				stall += c.cfg.MispredictPenalty
 			}
 		case OpIndirect:
 			if c.bp.indirect(u.BrID, dyn[i].Target) {
-				c.cycles += c.cfg.MispredictPenalty
-				c.stats.StallCycles += c.cfg.MispredictPenalty
+				cycles += c.cfg.MispredictPenalty
+				stall += c.cfg.MispredictPenalty
 			}
 		}
 
 		// Retired-instruction accounting via per-class expansion.
-		c.instretFx += uint64(c.cfg.expansion(u.Class))
-		c.stats.Uops++
+		instretFx += c.expand[u.Class]
 
 		// OS timer tick: periodically spend handler time in S-mode.
-		if c.nextTimer != 0 && c.cycles >= c.nextTimer {
+		if nextTimer != 0 && cycles >= nextTimer {
 			timerCycles := c.cfg.TimerHandlerCycles
-			c.cycles += timerCycles
+			cycles += timerCycles
 			// The handler retires roughly one instruction per cycle.
-			c.instretFx += timerCycles << 8
-			c.nextTimer += c.cfg.TimerIntervalCycles
+			instretFx += timerCycles << 8
+			nextTimer += c.cfg.TimerIntervalCycles
 			c.stats.TimerTicks++
 		}
 
-		flops := uint64(u.Flops)
-		specFlops := flops
-		if flops > 0 && c.replayFP > 0 {
-			specFlops += flops
-			c.replayFP--
+		if f := uint64(u.Flops); f > 0 {
+			flops += f
+			specFlops += f
+			if replayFP > 0 {
+				specFlops += f
+				replayFP--
+			}
 		}
-		c.stats.Flops += flops
-		c.stats.SpecFlops += specFlops
-		c.stats.IntOps += uint64(u.IntOps)
+		intOps += uint64(u.IntOps)
 	}
+	c.cycles, c.fracCycle, c.replayFP = cycles, fracCycle, replayFP
+	c.nextTimer, c.storeHead = nextTimer, storeHead
+	c.settle(len(tmpl), instretFx, stall, loads, stores, flops, specFlops, intOps)
+}
+
+// settle writes a charge loop's region sums back into the statistics.
+func (c *Core) settle(uops int, instretFx, stall, loads, stores, flops, specFlops, intOps uint64) {
+	c.instretFx += instretFx
+	s := &c.stats
+	s.Uops += uint64(uops)
+	s.StallCycles += stall
+	s.Loads += loads
+	s.Stores += stores
+	s.Flops += flops
+	s.SpecFlops += specFlops
+	s.IntOps += intOps
 }
 
 // chargeAccess folds a memory access's event counts into the

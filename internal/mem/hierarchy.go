@@ -76,6 +76,11 @@ func (h *Hierarchy) DRAM() *DRAM { return h.dram }
 // line; the returned latency is the maximum of the per-line latencies
 // (lines are fetched in parallel across banks in this model) and the
 // event counts are the sums.
+//
+// The single-line access, the overwhelmingly common case, is resolved
+// here: an L1 hit returns without touching the refill path, and a miss
+// goes through missLine. Both leave every counter, tag, dirty bit and
+// LRU stamp exactly as the per-line loop (accessLine) would.
 func (h *Hierarchy) Access(now uint64, addr uint64, size int, write bool) AccessResult {
 	if size <= 0 {
 		return AccessResult{}
@@ -83,11 +88,15 @@ func (h *Hierarchy) Access(now uint64, addr uint64, size int, write bool) Access
 	first := h.l1d.LineAddr(addr)
 	last := h.l1d.LineAddr(addr + uint64(size) - 1)
 	if first == last {
-		// Fast path: the overwhelmingly common single-line access needs
-		// no straddle loop or per-line result merging.
-		res := h.accessLine(now, first, write)
+		h.L1Accesses++
+		h.L1Bytes += uint64(size)
+		if h.l1d.Lookup(first, write) {
+			h.L1Hits++
+			lat := h.l1d.cfg.HitLatency
+			return AccessResult{Latency: lat, PostedLatency: lat, L1Bytes: uint64(size)}
+		}
+		res := h.missLine(now, first, write)
 		res.L1Bytes = uint64(size)
-		h.L1Bytes += res.L1Bytes
 		return res
 	}
 	var res AccessResult
@@ -120,6 +129,12 @@ func (h *Hierarchy) accessLine(now uint64, line uint64, write bool) AccessResult
 		lat := h.l1d.cfg.HitLatency
 		return AccessResult{Latency: lat, PostedLatency: lat}
 	}
+	return h.missLine(now, line, write)
+}
+
+// missLine refills a line that missed in L1 (the L1 lookup is already
+// counted) from L2 or DRAM and installs it, writing back dirty victims.
+func (h *Hierarchy) missLine(now uint64, line uint64, write bool) AccessResult {
 	// The miss is refilled from L2: one line crosses the L1<->L2 bus.
 	res := AccessResult{L1Miss: true, L2Bytes: h.lineSize}
 	h.L2Accesses++
@@ -135,8 +150,7 @@ func (h *Hierarchy) accessLine(now uint64, line uint64, write bool) AccessResult
 		res.PostedLatency = res.Latency - h.dram.Config().Latency
 		res.DRAMBytes = h.lineSize
 		// Install in L2; a dirty L2 victim is written back to DRAM.
-		if ev, dirty, had := h.l2.Fill(line, false); had && dirty {
-			_ = ev
+		if _, dirty, had := h.l2.Fill(line, false); had && dirty {
 			h.WriteBacks++
 			h.dram.Transfer(now, int(h.lineSize))
 			res.DRAMBytes += h.lineSize
@@ -147,8 +161,7 @@ func (h *Hierarchy) accessLine(now uint64, line uint64, write bool) AccessResult
 	if ev, dirty, had := h.l1d.Fill(line, write); had && dirty {
 		res.L2Bytes += h.lineSize
 		if !h.l2.Lookup(ev, true) {
-			if ev2, dirty2, had2 := h.l2.Fill(ev, true); had2 && dirty2 {
-				_ = ev2
+			if _, dirty2, had2 := h.l2.Fill(ev, true); had2 && dirty2 {
 				h.WriteBacks++
 				h.dram.Transfer(now, int(h.lineSize))
 				res.DRAMBytes += h.lineSize

@@ -124,3 +124,32 @@ func TestVectorStepsDoNotAllocateSteadyState(t *testing.T) {
 		t.Errorf("vector run of %d elements allocated %.1f times, want 0 steady-state", n, allocs)
 	}
 }
+
+func TestKernelLoopDoesNotAllocate(t *testing.T) {
+	// The FMA sum runs entirely in its loop kernel; after warm-up,
+	// entering the kernel (constant slots, dyn buffer, frame) must not
+	// allocate.
+	const n = 4096
+	prog, err := Compile(buildFMASumModule(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(prog, platform.X60())
+	defer m.Release()
+	st := new(ExecStats)
+	m.SetExecStats(st)
+	addr, _ := m.GlobalAddr("data")
+	run := func() {
+		if _, err := m.Run("sum", addr, uint64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	m.FlushExecStats()
+	if iters := st.KernelIters.Load(); iters != n {
+		t.Fatalf("kernel ran %d iterations, want %d", iters, n)
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+		t.Errorf("kernel run of %d iterations allocated %.1f times, want 0", n, allocs)
+	}
+}

@@ -424,10 +424,7 @@ func buildLoad(in *ir.Instr) execFn {
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		m.checkVector(ty)
 		addr := uint64(int64(m.scalar(fr, &st.args[0])) + st.in.Scale)
-		out := fr.vregDst(st.dst, lanes)
-		for l := range out {
-			out[l] = m.loadScalar(addr+uint64(l)*es, elem)
-		}
+		m.loadLanes(fr.vregDst(st.dst, lanes), addr, es, elem)
 		m.emit(addr, false, 0)
 		return nil
 	}
@@ -449,10 +446,7 @@ func buildStore(in *ir.Instr) execFn {
 	return func(m *Machine, fr *frame, st *step) *blockPlan {
 		m.checkVector(ty)
 		addr := uint64(int64(m.scalar(fr, &st.args[1])) + st.in.Scale)
-		vec := m.vecOrSplat(fr, &st.args[0], lanes, 0)
-		for l, b := range vec {
-			m.storeScalar(addr+uint64(l)*es, elem, b)
-		}
+		m.storeLanes(m.vecOrSplat(fr, &st.args[0], lanes, 0), addr, es, elem)
 		m.emit(addr, false, 0)
 		return nil
 	}

@@ -84,7 +84,7 @@ func (m *Machine) vecOrSplat(fr *frame, op *operand, lanes, slot int) []uint64 {
 
 func (m *Machine) loadScalar(addr uint64, ty ir.Type) uint64 {
 	size := ty.Size()
-	if addr < memBase || addr+uint64(size) > uint64(len(m.mem)) {
+	if !inMem(addr, uint64(size), uint64(len(m.mem))) {
 		trapf("load from invalid address %#x", addr)
 	}
 	switch size {
@@ -101,7 +101,7 @@ func (m *Machine) loadScalar(addr uint64, ty ir.Type) uint64 {
 
 func (m *Machine) storeScalar(addr uint64, ty ir.Type, v uint64) {
 	size := ty.Size()
-	if addr < memBase || addr+uint64(size) > uint64(len(m.mem)) {
+	if !inMem(addr, uint64(size), uint64(len(m.mem))) {
 		trapf("store to invalid address %#x", addr)
 	}
 	m.markDirty(addr, size)
@@ -114,6 +114,24 @@ func (m *Machine) storeScalar(addr uint64, ty ir.Type, v uint64) {
 		binary.LittleEndian.PutUint32(m.mem[addr:], uint32(v))
 	default:
 		binary.LittleEndian.PutUint64(m.mem[addr:], v)
+	}
+}
+
+// loadLanes loads a vector of elem-typed lanes es bytes apart, one
+// loadScalar per lane, so an out-of-bounds lane traps after the lanes
+// before it were read.
+func (m *Machine) loadLanes(out []uint64, addr, es uint64, elem ir.Type) {
+	for l := range out {
+		out[l] = m.loadScalar(addr+uint64(l)*es, elem)
+	}
+}
+
+// storeLanes stores a vector of elem-typed lanes es bytes apart, one
+// storeScalar per lane, so an out-of-bounds lane traps after the lanes
+// before it were written.
+func (m *Machine) storeLanes(vec []uint64, addr, es uint64, elem ir.Type) {
+	for l, bits := range vec {
+		m.storeScalar(addr+uint64(l)*es, elem, bits)
 	}
 }
 

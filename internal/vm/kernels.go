@@ -13,19 +13,28 @@ import (
 // stores, splats, f32 FMAs, i64 induction arithmetic, a trailing
 // conditional branch) are compiled at plan time into loop recipes, and
 // a recipe executes as a hand-written Go loop — no step closures, no
-// operand resolution, no per-uop emit — that fills the block's dynamic
-// operands and charges one region per iteration through ExecRegion.
-// The vocabulary covers the matmul k-loops (scalar and vectorized),
-// the streaming triad/memset loops, and anything else of that shape.
+// per-uop emit — that fills the block's dynamic operands and charges
+// one region per iteration through ExecRegion. The vocabulary covers
+// the matmul k-loops (scalar and vectorized), the streaming
+// triad/memset loops, and anything else of that shape.
+//
+// Operand forms are resolved at plan time: every operand is a register
+// id (an immediate gets a constant slot past the function's registers,
+// filled on kernel entry), so the per-iteration switch never asks
+// whether an operand is a register. Loads and stores go through the
+// generic executor's loadScalar/storeScalar, bounds checks and trap
+// text included.
 //
 // A kernel is an optimization of the generic region executor only: it
 // performs exactly the same semantic effects in the same order (body,
 // then the back-edge phi parallel copy) and charges exactly the same
 // region template per iteration, so profiles are bit-identical — the
 // catalog digest test covers workloads whose hot loops run through
-// these kernels. Sampling activations never enter a kernel: they flush
-// events at every block edge, which a native loop would skip. Any block that steps outside the
-// vocabulary simply never gets a kernel and runs generically.
+// these kernels, and TestKernelMatchesGenericExecutor compares a kernel
+// with the generic executor directly. Sampling activations never enter
+// a kernel: they flush events at every block edge, which a native loop
+// would skip. Any block that steps outside the vocabulary simply never
+// gets a kernel and runs generically.
 
 // kOp kinds. Each recipe op corresponds 1:1 to a block step (and so to
 // a slot of the block's charge template).
@@ -46,36 +55,44 @@ const (
 )
 
 // kOp is one pre-compiled micro-op of a loop recipe. a, b, c are
-// register ids (-1 = use the corresponding immediate).
+// register ids, always: an immediate operand reads a constant slot of
+// the recipe (see kConst), so the executor never asks whether an
+// operand is a register.
 type kOp struct {
 	kind    uint8
 	pred    ir.Pred
 	lanes   int32
 	dst     int32
 	a, b, c int32
-	aImm    uint64
-	bImm    uint64
-	cImm    uint64
 	off     int64    // load/store byte offset (in.Scale)
 	scale   int64    // gep element size (in.Scale)
 	cnt     [4]int64 // mperf.count constant block costs
-	elem    ir.Type
+	elem    ir.Type  // load/store element type
 	elemSz  uint64
 }
 
-// kMove is one back-edge phi parallel-copy assignment.
+// kMove is one back-edge phi parallel-copy assignment; src is a
+// register id, a constant slot for an immediate source.
 type kMove struct {
-	dst    int32
-	src    int32
-	srcImm uint64
-	isVec  bool
-	lanes  int
+	dst   int32
+	src   int32
+	isVec bool
+	lanes int
+}
+
+// kConst is a constant register slot: a register past the function's
+// own, filled with an immediate operand's bits when the kernel is
+// entered. Nothing else writes it.
+type kConst struct {
+	reg int32
+	imm uint64
 }
 
 // loopRecipe is the compiled form of a specialized self-loop.
 type loopRecipe struct {
 	ops       []kOp
 	selfMoves []kMove
+	consts    []kConst
 	exit      *blockPlan
 	predIdx   int32
 	// vecTys are the distinct vector types the body touches, checked
@@ -85,28 +102,42 @@ type loopRecipe struct {
 }
 
 // matchKernels inspects a planned function's blocks and installs
-// specialized loop kernels where a block matches the vocabulary.
+// specialized loop kernels where a block matches the vocabulary. Each
+// recipe's constant slots extend the function's register file.
 func matchKernels(fp *funcPlan) {
 	for _, bp := range fp.blocks {
-		if rec := matchLoopRecipe(bp); rec != nil {
+		if rec := matchLoopRecipe(bp, int32(fp.numRegs)); rec != nil {
+			fp.numRegs += len(rec.consts)
 			bp.kernel = makeLoopKernel(bp, rec)
 		}
 	}
 }
 
-// kOperand converts a step operand into (reg, imm) form, declining
-// vector immediates.
-func kOperand(op *operand) (int32, uint64, bool) {
+// reg converts a step operand into a register id, giving an immediate
+// a constant slot numbered from base. It declines vector immediates.
+func (rec *loopRecipe) reg(op *operand, base int32) (int32, bool) {
 	if op.vecImm != nil {
-		return 0, 0, false
+		return 0, false
 	}
-	return op.reg, op.imm, true
+	if op.reg >= 0 {
+		return op.reg, true
+	}
+	for _, k := range rec.consts {
+		if k.imm == op.imm {
+			return k.reg, true
+		}
+	}
+	r := base + int32(len(rec.consts))
+	rec.consts = append(rec.consts, kConst{reg: r, imm: op.imm})
+	return r, true
 }
 
 // matchLoopRecipe recognizes a specializable self-loop: a block whose
 // terminator is condbr(cond, self, exit) and whose body uses only the
-// kernel vocabulary. Returns nil if the block does not qualify.
-func matchLoopRecipe(bp *blockPlan) *loopRecipe {
+// kernel vocabulary. Constant slots are numbered from base, the first
+// register past the function's. Returns nil if the block does not
+// qualify.
+func matchLoopRecipe(bp *blockPlan, base int32) *loopRecipe {
 	n := len(bp.steps)
 	if n < 2 {
 		return nil
@@ -131,6 +162,17 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 		}
 		rec.vecTys = append(rec.vecTys, ty)
 	}
+	// regs resolves the first len(dst) step operands into dst.
+	regs := func(st *step, dst ...*int32) bool {
+		for j, d := range dst {
+			r, ok := rec.reg(&st.args[j], base)
+			if !ok {
+				return false
+			}
+			*d = r
+		}
+		return true
+	}
 
 	for i := range bp.steps {
 		st := &bp.steps[i]
@@ -138,11 +180,10 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 		op := kOp{dst: st.dst, a: -1, b: -1, c: -1}
 		switch in.Op {
 		case ir.OpLoad:
-			a, aImm, ok := kOperand(&st.args[0])
-			if !ok {
+			if !regs(st, &op.a) {
 				return nil
 			}
-			op.a, op.aImm, op.off = a, aImm, in.Scale
+			op.off = in.Scale
 			if in.Ty.IsVector() {
 				op.kind = kVecLoad
 				op.elem = in.Ty.Elem()
@@ -154,18 +195,13 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 				op.elem = in.Ty
 			}
 		case ir.OpStore:
-			a, aImm, ok := kOperand(&st.args[0])
-			if !ok {
+			if !regs(st, &op.a, &op.b) {
 				return nil
 			}
-			b, bImm, ok := kOperand(&st.args[1])
-			if !ok {
-				return nil
-			}
-			op.a, op.aImm, op.b, op.bImm, op.off = a, aImm, b, bImm, in.Scale
+			op.off = in.Scale
 			ty := in.Args[0].Type()
 			if ty.IsVector() {
-				if !st.args[0].isVec || a < 0 {
+				if !st.args[0].isVec {
 					return nil // scalar-splat stores stay generic
 				}
 				op.kind = kVecStore
@@ -178,25 +214,14 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 				op.elem = ty
 			}
 		case ir.OpSplat:
-			a, aImm, ok := kOperand(&st.args[0])
-			if !ok || st.args[0].isVec {
+			if st.args[0].isVec || !regs(st, &op.a) {
 				return nil
 			}
-			op.kind, op.a, op.aImm = kSplat, a, aImm
+			op.kind = kSplat
 			op.lanes = int32(in.Ty.Lanes)
 			addVecTy(in.Ty)
 		case ir.OpFMA:
-			if in.Ty.Elem().Kind != ir.KF32 {
-				return nil
-			}
-			var ok bool
-			if op.a, op.aImm, ok = kOperand(&st.args[0]); !ok {
-				return nil
-			}
-			if op.b, op.bImm, ok = kOperand(&st.args[1]); !ok {
-				return nil
-			}
-			if op.c, op.cImm, ok = kOperand(&st.args[2]); !ok {
+			if in.Ty.Elem().Kind != ir.KF32 || !regs(st, &op.a, &op.b, &op.c) {
 				return nil
 			}
 			if in.Ty.IsVector() {
@@ -210,14 +235,7 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 				op.kind = kFMA
 			}
 		case ir.OpAdd, ir.OpMul:
-			if in.Ty.Kind != ir.KI64 {
-				return nil
-			}
-			var ok bool
-			if op.a, op.aImm, ok = kOperand(&st.args[0]); !ok {
-				return nil
-			}
-			if op.b, op.bImm, ok = kOperand(&st.args[1]); !ok {
+			if in.Ty.Kind != ir.KI64 || !regs(st, &op.a, &op.b) {
 				return nil
 			}
 			if in.Op == ir.OpMul {
@@ -226,23 +244,12 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 				op.kind = kAdd
 			}
 		case ir.OpICmp:
-			if in.Args[0].Type().Kind != ir.KI64 {
-				return nil
-			}
-			var ok bool
-			if op.a, op.aImm, ok = kOperand(&st.args[0]); !ok {
-				return nil
-			}
-			if op.b, op.bImm, ok = kOperand(&st.args[1]); !ok {
+			if in.Args[0].Type().Kind != ir.KI64 || !regs(st, &op.a, &op.b) {
 				return nil
 			}
 			op.kind, op.pred = kICmp, in.Pred
 		case ir.OpGEP:
-			var ok bool
-			if op.a, op.aImm, ok = kOperand(&st.args[0]); !ok {
-				return nil
-			}
-			if op.b, op.bImm, ok = kOperand(&st.args[1]); !ok {
+			if !regs(st, &op.a, &op.b) {
 				return nil
 			}
 			op.kind, op.scale = kGEP, in.Scale
@@ -255,8 +262,7 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 				st.dst >= 0 || len(st.args) != 5 {
 				return nil
 			}
-			var ok bool
-			if op.a, op.aImm, ok = kOperand(&st.args[0]); !ok {
+			if !regs(st, &op.a) {
 				return nil
 			}
 			for j := 1; j < 5; j++ {
@@ -278,35 +284,30 @@ func matchLoopRecipe(bp *blockPlan) *loopRecipe {
 	}
 
 	// Back-edge phi parallel copy. Sequential application is only
-	// correct when no copy's source is another copy's destination.
+	// correct when no copy's source is another copy's destination
+	// (constant slots are never destinations).
 	var dsts []int32
 	for _, mv := range bp.movesFrom[bp.index] {
-		if mv.src.vecImm != nil || (mv.isVec && mv.src.reg < 0) {
+		if mv.isVec && mv.src.reg < 0 {
+			return nil
+		}
+		src, ok := rec.reg(&mv.src, base)
+		if !ok {
 			return nil
 		}
 		dsts = append(dsts, mv.dst)
 		rec.selfMoves = append(rec.selfMoves, kMove{
-			dst: mv.dst, src: mv.src.reg, srcImm: mv.src.imm,
-			isVec: mv.isVec, lanes: mv.lanes,
+			dst: mv.dst, src: src, isVec: mv.isVec, lanes: mv.lanes,
 		})
 	}
 	for _, mv := range rec.selfMoves {
 		for _, d := range dsts {
-			if mv.src >= 0 && mv.src == d {
+			if mv.src == d {
 				return nil
 			}
 		}
 	}
 	return rec
-}
-
-// kval fetches a recipe operand: register when r >= 0, else the
-// immediate.
-func kval(fr *frame, r int32, imm uint64) uint64 {
-	if r >= 0 {
-		return fr.regs[r]
-	}
-	return imm
 }
 
 // kvec fetches a vector register, with the generic path's
@@ -362,6 +363,10 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 		for i := range dyn {
 			dyn[i] = machine.RegionDyn{}
 		}
+		regs := fr.regs
+		for _, k := range rec.consts {
+			regs[k.reg] = k.imm
+		}
 		core := m.hart.Core
 		fr.curPC = bp.pc
 		ops := rec.ops
@@ -379,36 +384,29 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 				op := &ops[i]
 				switch op.kind {
 				case kLoad:
-					addr := uint64(int64(kval(fr, op.a, op.aImm)) + op.off)
-					fr.regs[op.dst] = m.loadScalar(addr, op.elem)
+					addr := uint64(int64(regs[op.a]) + op.off)
+					regs[op.dst] = m.loadScalar(addr, op.elem)
 					dyn[i].Addr = addr
 				case kVecLoad:
-					addr := uint64(int64(kval(fr, op.a, op.aImm)) + op.off)
-					out := fr.vregDst(op.dst, int(op.lanes))
-					for l := range out {
-						out[l] = m.loadScalar(addr+uint64(l)*op.elemSz, op.elem)
-					}
+					addr := uint64(int64(regs[op.a]) + op.off)
+					m.loadLanes(fr.vregDst(op.dst, int(op.lanes)), addr, op.elemSz, op.elem)
 					dyn[i].Addr = addr
 				case kStore:
-					addr := uint64(int64(kval(fr, op.b, op.bImm)) + op.off)
-					m.storeScalar(addr, op.elem, kval(fr, op.a, op.aImm))
+					addr := uint64(int64(regs[op.b]) + op.off)
+					m.storeScalar(addr, op.elem, regs[op.a])
 					dyn[i].Addr = addr
 				case kVecStore:
-					addr := uint64(int64(kval(fr, op.b, op.bImm)) + op.off)
-					vec := kvec(fr, op.a)
-					for l, bits := range vec {
-						m.storeScalar(addr+uint64(l)*op.elemSz, op.elem, bits)
-					}
+					addr := uint64(int64(regs[op.b]) + op.off)
+					m.storeLanes(kvec(fr, op.a), addr, op.elemSz, op.elem)
 					dyn[i].Addr = addr
 				case kSplat:
 					out := fr.vregDst(op.dst, int(op.lanes))
-					s := kval(fr, op.a, op.aImm)
+					s := regs[op.a]
 					for l := range out {
 						out[l] = s
 					}
 				case kFMA:
-					fr.regs[op.dst] = fma32(
-						kval(fr, op.a, op.aImm), kval(fr, op.b, op.bImm), kval(fr, op.c, op.cImm))
+					regs[op.dst] = fma32(regs[op.a], regs[op.b], regs[op.c])
 				case kVecFMA:
 					va, vb, vc := kvec(fr, op.a), kvec(fr, op.b), kvec(fr, op.c)
 					out := fr.vregDst(op.dst, int(op.lanes))
@@ -416,27 +414,25 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 						out[l] = fma32(va[l], vb[l], vc[l])
 					}
 				case kAdd:
-					fr.regs[op.dst] = kval(fr, op.a, op.aImm) + kval(fr, op.b, op.bImm)
+					regs[op.dst] = regs[op.a] + regs[op.b]
 				case kMul:
-					fr.regs[op.dst] = kval(fr, op.a, op.aImm) * kval(fr, op.b, op.bImm)
+					regs[op.dst] = regs[op.a] * regs[op.b]
 				case kICmp:
 					var r uint64
-					if kCmp(op.pred, int64(kval(fr, op.a, op.aImm)), int64(kval(fr, op.b, op.bImm))) {
+					if kCmp(op.pred, int64(regs[op.a]), int64(regs[op.b])) {
 						r = 1
 					}
-					fr.regs[op.dst] = r
+					regs[op.dst] = r
 				case kGEP:
-					fr.regs[op.dst] = uint64(
-						int64(kval(fr, op.a, op.aImm)) + int64(kval(fr, op.b, op.bImm))*op.scale)
+					regs[op.dst] = uint64(int64(regs[op.a]) + int64(regs[op.b])*op.scale)
 				case kCondBr:
-					taken = fr.regs[op.a] != 0
+					taken = regs[op.a] != 0
 					dyn[i].Taken = taken
 				case kCount:
 					if m.rt == nil {
 						trapf("call to mperf.count with no runtime installed")
 					}
-					m.rt.Count(int64(kval(fr, op.a, op.aImm)),
-						op.cnt[0], op.cnt[1], op.cnt[2], op.cnt[3])
+					m.rt.Count(int64(regs[op.a]), op.cnt[0], op.cnt[1], op.cnt[2], op.cnt[3])
 				}
 			}
 			if !m.functional {
@@ -450,7 +446,7 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 				if mv.isVec {
 					copy(fr.vregDst(mv.dst, mv.lanes), kvec(fr, mv.src))
 				} else {
-					fr.regs[mv.dst] = kval(fr, mv.src, mv.srcImm)
+					regs[mv.dst] = regs[mv.src]
 				}
 			}
 		}

@@ -250,10 +250,18 @@ func (m *Machine) GlobalAddr(name string) (uint64, error) {
 // --- host access to simulated memory (for workload setup/checks) ---
 
 func (m *Machine) check(addr uint64, size int) error {
-	if addr < memBase || addr+uint64(size) > uint64(len(m.mem)) {
+	if !inMem(addr, uint64(size), uint64(len(m.mem))) {
 		return fmt.Errorf("vm: address %#x (+%d) out of range", addr, size)
 	}
 	return nil
+}
+
+// inMem reports whether [addr, addr+n) lies inside guest memory, at or
+// above memBase and below memLen, without overflow: an addr+n that
+// wraps past 2^64 is outside. Every guest access checks its bounds
+// with it.
+func inMem(addr, n, memLen uint64) bool {
+	return addr >= memBase && addr <= memLen && memLen-addr >= n
 }
 
 // markDirty advances the dirty high-water mark past a store, so

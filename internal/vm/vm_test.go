@@ -425,6 +425,10 @@ func TestTraps(t *testing.T) {
 	v := b.Load(ir.I64, ir.ConstInt(ir.Ptr, 0)) // null deref
 	_ = v
 	b.Ret(v)
+	w := mod.NewFunc("wrap", ir.I64, ir.NewParam("p", ir.Ptr))
+	b = ir.NewBuilder(w)
+	b.NewBlock("entry")
+	b.Ret(b.Load(ir.I64, w.Params[0]))
 
 	m, err := New(platform.U74(), mod)
 	if err != nil {
@@ -438,6 +442,18 @@ func TestTraps(t *testing.T) {
 	}
 	if _, err := m.Run("oob"); err == nil || !strings.Contains(err.Error(), "invalid address") {
 		t.Errorf("null load: %v", err)
+	}
+	// An access whose last byte lies past 2^64 wraps addr+size to a
+	// small number; it is out of bounds, not a host panic.
+	const top = math.MaxUint64 - 7
+	if _, err := m.Run("wrap", top); err == nil || !strings.Contains(err.Error(), "invalid address") {
+		t.Errorf("wrapped load: %v", err)
+	}
+	if err := m.WriteU64(top, 1); err == nil {
+		t.Error("WriteU64 at a wrapped address must fail")
+	}
+	if _, err := m.ReadF32(math.MaxUint64 - 3); err == nil {
+		t.Error("ReadF32 at a wrapped address must fail")
 	}
 	if _, err := m.Run("missing"); err == nil {
 		t.Error("running a missing function must fail")
