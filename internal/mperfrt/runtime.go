@@ -54,10 +54,11 @@ func (s *LoopStats) ArithmeticIntensity() float64 {
 	return 0
 }
 
-// activation is one live region entry.
+// activation is one live region entry; st is its region's aggregate,
+// so Count and LoopEnd charge it without a second lookup.
 type activation struct {
-	loopID int64
-	start  uint64
+	st    *LoopStats
+	start uint64
 	// Traffic-probe snapshot at entry (valid only when a probe is
 	// installed): per-level byte counters are charged as deltas at exit.
 	startL1, startL2, startDRAM uint64
@@ -122,14 +123,14 @@ func (c *Collector) EnableOnlyLoops(ids ...int64) {
 func (c *Collector) LoopBegin(loopID int64) int64 {
 	c.nextH++
 	h := c.nextH
-	a := &activation{loopID: loopID, start: c.clock()}
+	st := c.stats(loopID)
+	st.Invocations++
+	a := &activation{st: st, start: c.clock()}
 	if c.traffic != nil {
 		a.startL1, a.startL2, a.startDRAM = c.traffic()
 	}
 	c.active[h] = a
 	c.current = append(c.current, h)
-	st := c.stats(loopID)
-	st.Invocations++
 	return h
 }
 
@@ -143,7 +144,7 @@ func (c *Collector) LoopEnd(handle int64) {
 	if n := len(c.current); n > 0 && c.current[n-1] == handle {
 		c.current = c.current[:n-1]
 	}
-	st := c.stats(a.loopID)
+	st := a.st
 	st.Cycles += c.clock() - a.start
 	if c.traffic != nil {
 		l1, l2, dram := c.traffic()
@@ -164,7 +165,7 @@ func (c *Collector) IsInstrumented() bool {
 	}
 	if n := len(c.current); n > 0 {
 		if a, ok := c.active[c.current[n-1]]; ok {
-			return c.only[a.loopID]
+			return c.only[a.st.LoopID]
 		}
 	}
 	return false
@@ -176,7 +177,7 @@ func (c *Collector) Count(handle, bytesLoaded, bytesStored, intOps, fpOps int64)
 	if !ok {
 		return
 	}
-	st := c.stats(a.loopID)
+	st := a.st
 	st.BytesLoaded += uint64(bytesLoaded)
 	st.BytesStored += uint64(bytesStored)
 	st.IntOps += uint64(intOps)

@@ -29,12 +29,12 @@ import (
 // performs exactly the same semantic effects in the same order (body,
 // then the back-edge phi parallel copy) and charges exactly the same
 // region template per iteration, so profiles are bit-identical — the
-// catalog digest test covers workloads whose hot loops run through
-// these kernels, and TestKernelMatchesGenericExecutor compares a kernel
-// with the generic executor directly. Sampling activations never enter
-// a kernel: they flush events at every block edge, which a native loop
-// would skip. Any block that steps outside the vocabulary simply never
-// gets a kernel and runs generically.
+// golden corpus covers workloads whose hot loops run through these
+// kernels, and TestKernelMatchesGenericExecutor compares a kernel with
+// the generic executor directly, trapping runs included. Sampling
+// activations never enter a kernel: they flush events at every block
+// edge, which a native loop would skip. Any block that steps outside
+// the vocabulary simply never gets a kernel and runs generically.
 
 // kOp kinds. Each recipe op corresponds 1:1 to a block step (and so to
 // a slot of the block's charge template).
@@ -95,10 +95,16 @@ type loopRecipe struct {
 	consts    []kConst
 	exit      *blockPlan
 	predIdx   int32
-	// vecTys are the distinct vector types the body touches, checked
-	// against the platform once per loop entry (the generic path
-	// checks per step; the first iteration would trap identically).
-	vecTys []ir.Type
+	// vecTys are the distinct vector types the body touches, each with
+	// the index of the first op that uses it, checked against the
+	// platform once per loop entry (the generic path checks per step).
+	vecTys []kVecTy
+}
+
+// kVecTy is a vector type of a recipe and the first op that uses it.
+type kVecTy struct {
+	ty ir.Type
+	op int
 }
 
 // matchKernels inspects a planned function's blocks and installs
@@ -155,12 +161,12 @@ func matchLoopRecipe(bp *blockPlan, base int32) *loopRecipe {
 
 	rec := &loopRecipe{exit: term.targets[1], predIdx: int32(bp.index)}
 	addVecTy := func(ty ir.Type) {
-		for _, t := range rec.vecTys {
-			if t == ty {
+		for _, v := range rec.vecTys {
+			if v.ty == ty {
 				return
 			}
 		}
-		rec.vecTys = append(rec.vecTys, ty)
+		rec.vecTys = append(rec.vecTys, kVecTy{ty: ty, op: len(rec.ops)})
 	}
 	// regs resolves the first len(dst) step operands into dst.
 	regs := func(st *step, dst ...*int32) bool {
@@ -347,19 +353,32 @@ func kCmp(pred ir.Pred, a, b int64) bool {
 }
 
 // makeLoopKernel binds a recipe into the block's specialized executor.
+// An iteration records its dynamic operands into the machine's pending
+// region buffer, and before each op that can trap it sets m.pendN to
+// the ops completed so far, so Run's trap recovery charges the
+// trapping iteration's completed uops exactly as it does for the
+// generic executor.
 func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 	nsteps := uint64(len(bp.steps))
 	tmpl := bp.tmpl
-	return func(m *Machine, fr *frame, _ *blockPlan) *blockPlan {
-		for _, ty := range rec.vecTys {
-			m.checkVector(ty)
+	return func(m *Machine, fr *frame) *blockPlan {
+		// A vector type the platform cannot run cuts the body short of
+		// its first op: the first iteration runs the ops before it and
+		// then traps, as the generic executor would.
+		ops := rec.ops
+		var illegal ir.Type
+		for _, v := range rec.vecTys {
+			if v.op < len(ops) && !m.vectorOK(v.ty) {
+				ops, illegal = rec.ops[:v.op], v.ty
+			}
 		}
-		if len(m.kernDyn) < len(tmpl) {
-			m.kernDyn = make([]machine.RegionDyn, len(tmpl))
+		if len(m.pendDyn) < len(tmpl) {
+			m.pendDyn = make([]machine.RegionDyn, len(tmpl)+64)
 		}
-		dyn := m.kernDyn[:len(tmpl)]
-		// Clear slots left by another kernel's recipe: ops that carry
-		// no dynamic operand never write theirs.
+		m.pendTmpl, m.pendFrom, m.pendN, m.pendSalt = tmpl, 0, 0, fr.salt
+		dyn := m.pendDyn[:len(tmpl)]
+		// Clear slots left by earlier regions: ops that carry no
+		// dynamic operand never write theirs.
 		for i := range dyn {
 			dyn[i] = machine.RegionDyn{}
 		}
@@ -369,7 +388,6 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 		}
 		core := m.hart.Core
 		fr.curPC = bp.pc
-		ops := rec.ops
 		iters := uint64(0)
 		for {
 			// Per-iteration step budget, checked before the iteration
@@ -384,18 +402,22 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 				op := &ops[i]
 				switch op.kind {
 				case kLoad:
+					m.pendN = i
 					addr := uint64(int64(regs[op.a]) + op.off)
 					regs[op.dst] = m.loadScalar(addr, op.elem)
 					dyn[i].Addr = addr
 				case kVecLoad:
+					m.pendN = i
 					addr := uint64(int64(regs[op.a]) + op.off)
 					m.loadLanes(fr.vregDst(op.dst, int(op.lanes)), addr, op.elemSz, op.elem)
 					dyn[i].Addr = addr
 				case kStore:
+					m.pendN = i
 					addr := uint64(int64(regs[op.b]) + op.off)
 					m.storeScalar(addr, op.elem, regs[op.a])
 					dyn[i].Addr = addr
 				case kVecStore:
+					m.pendN = i
 					addr := uint64(int64(regs[op.b]) + op.off)
 					m.storeLanes(kvec(fr, op.a), addr, op.elemSz, op.elem)
 					dyn[i].Addr = addr
@@ -408,6 +430,7 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 				case kFMA:
 					regs[op.dst] = fma32(regs[op.a], regs[op.b], regs[op.c])
 				case kVecFMA:
+					m.pendN = i
 					va, vb, vc := kvec(fr, op.a), kvec(fr, op.b), kvec(fr, op.c)
 					out := fr.vregDst(op.dst, int(op.lanes))
 					for l := range out {
@@ -430,14 +453,22 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 					dyn[i].Taken = taken
 				case kCount:
 					if m.rt == nil {
+						// The generic executor charges the call uop
+						// before the callee runs.
+						m.pendN = i + 1
 						trapf("call to mperf.count with no runtime installed")
 					}
 					m.rt.Count(int64(regs[op.a]), op.cnt[0], op.cnt[1], op.cnt[2], op.cnt[3])
 				}
 			}
+			if illegal.IsVector() {
+				m.pendN = len(ops)
+				m.checkVector(illegal)
+			}
 			if !m.functional {
 				core.ExecRegion(tmpl, dyn, fr.salt)
 			}
+			m.pendN = 0
 			iters++
 			if !taken {
 				break

@@ -178,9 +178,10 @@ func (timeOnlySampler) SamplingActive() bool      { return true }
 // again through the generic executor (a time-only sampler armed, since
 // sampling activations skip kernels), and requires the same return
 // value, memory image, dirty mark, runtime counts, steps and core
-// Stats. A step budget that runs out mid-loop must trap both paths at
-// the same step with the same charges, and an out-of-bounds typed load
-// must trap with the generic executor's message.
+// Stats. A step budget that runs out mid-loop, a missing runtime, an
+// out-of-bounds load or store and a vector type the platform cannot run
+// must each trap both paths at the same step with the same message and
+// the same charges.
 func TestKernelMatchesGenericExecutor(t *testing.T) {
 	prog, err := Compile(buildOperandLoopModule())
 	if err != nil {
@@ -195,11 +196,13 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 				rt    *countRuntime
 				stats machine.Stats
 			}
-			run := func(kernel bool, maxSteps uint64) outcome {
+			run := func(kernel bool, maxSteps uint64, withRuntime bool) outcome {
 				m := NewMachine(prog, plat)
 				t.Cleanup(m.Release)
 				rt := new(countRuntime)
-				m.SetRuntime(rt)
+				if withRuntime {
+					m.SetRuntime(rt)
+				}
 				if !kernel {
 					m.Hart().Core.SetSink(timeOnlySampler{})
 				}
@@ -228,7 +231,7 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 				return outcome{ret, err, m, rt, m.Hart().Core.Stats()}
 			}
 
-			kern, gen := run(true, defaultMaxStep), run(false, defaultMaxStep)
+			kern, gen := run(true, defaultMaxStep, true), run(false, defaultMaxStep, true)
 			if kern.err != nil || gen.err != nil {
 				t.Fatalf("kernel run: %v, generic run: %v", kern.err, gen.err)
 			}
@@ -254,7 +257,7 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 			// A step budget that runs out mid-loop traps at the same step
 			// with the same charges.
 			budget := gen.m.Steps() / 2
-			kern, gen = run(true, budget), run(false, budget)
+			kern, gen = run(true, budget, true), run(false, budget, true)
 			if kern.err == nil || !strings.Contains(kern.err.Error(), "step budget") {
 				t.Fatalf("kernel run under a step budget: %v", kern.err)
 			}
@@ -265,9 +268,20 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 			if kern.stats != gen.stats {
 				t.Errorf("budget trap Stats differ:\nkernel  %+v\ngeneric %+v", kern.stats, gen.stats)
 			}
+
+			// Without a runtime, mperf.count traps in the first
+			// iteration, after the call uop is charged.
+			kern, gen = run(true, defaultMaxStep, false), run(false, defaultMaxStep, false)
+			if kern.err == nil || !strings.Contains(kern.err.Error(), "no runtime installed") {
+				t.Fatalf("kernel run without a runtime: %v", kern.err)
+			}
+			if kern.err.Error() != gen.err.Error() || kern.stats != gen.stats {
+				t.Errorf("runtime trap: kernel %v %+v\ngeneric %v %+v", kern.err, kern.stats, gen.err, gen.stats)
+			}
 		})
 	}
 	t.Run("out-of-bounds", checkOutOfBoundsTraps)
+	t.Run("illegal-vector", checkIllegalVectorTrap)
 }
 
 // buildOOBModule returns i64 @walk(ptr p, ptr q, ptr r, ptr s, ptr t,
@@ -311,7 +325,8 @@ func buildOOBModule() *ir.Module {
 // addr+size wraps to a small number. The kernel must trap with the
 // generic executor's message at the same step, leaving the same memory
 // image and dirty high-water mark, so a vector store writes exactly the
-// lanes before the one that traps.
+// lanes before the one that traps, and the same core statistics, so the
+// trapping iteration's completed uops are charged.
 func checkOutOfBoundsTraps(t *testing.T) {
 	prog, err := Compile(buildOOBModule())
 	if err != nil {
@@ -339,35 +354,79 @@ func checkOutOfBoundsTraps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(kernel bool) (*Machine, error) {
-				m := NewMachine(prog, platform.X60())
-				t.Cleanup(m.Release)
-				if !kernel {
-					m.Hart().Core.SetSink(timeOnlySampler{})
-				}
-				// In-bounds pointers: loads from the bottom of memory,
-				// stores to three disjoint buffers above it.
-				args := []uint64{memBase, memBase, memBase,
-					memBase + 0x1000, memBase + 0x2000, memBase + 0x3000, trips}
-				args[tc.param] = tc.ptr(uint64(len(m.mem)))
-				_, err := m.Run("walk", args...)
-				return m, err
-			}
-			km, kerr := run(true)
-			gm, gerr := run(false)
-			if kerr == nil || !strings.Contains(kerr.Error(), tc.trap) {
-				t.Fatalf("kernel run: %v, want %q", kerr, tc.trap)
-			}
-			if gerr == nil || kerr.Error() != gerr.Error() || km.Steps() != gm.Steps() {
-				t.Errorf("kernel trapped at step %d (%v), generic at %d (%v)",
-					km.Steps(), kerr, gm.Steps(), gerr)
-			}
-			if !bytes.Equal(km.mem, gm.mem) {
-				t.Error("kernel left a different memory image")
-			}
-			if km.dirtyHigh != gm.dirtyHigh {
-				t.Errorf("dirty high-water mark: kernel %#x, generic %#x", km.dirtyHigh, gm.dirtyHigh)
-			}
+			compareWalkTraps(t, prog, platform.X60(), func(end uint64) []uint64 {
+				args := walkArgs(trips)
+				args[tc.param] = tc.ptr(end)
+				return args
+			}, tc.trap)
+		})
+	}
+}
+
+// walkArgs returns in-bounds arguments for buildOOBModule's @walk:
+// loads from the bottom of memory, stores to three disjoint buffers
+// above it.
+func walkArgs(trips uint64) []uint64 {
+	return []uint64{memBase, memBase, memBase,
+		memBase + 0x1000, memBase + 0x2000, memBase + 0x3000, trips}
+}
+
+// compareWalkTraps runs @walk on plat through its loop kernel and
+// through the generic executor, with the arguments args returns for
+// the machine's memory size. Both must trap with the same message,
+// which contains trap, at the same step, leaving the same memory
+// image, dirty high-water mark and core statistics.
+func compareWalkTraps(t *testing.T, prog *Program, plat *platform.Platform, args func(end uint64) []uint64, trap string) {
+	t.Helper()
+	run := func(kernel bool) (*Machine, error) {
+		m := NewMachine(prog, plat)
+		t.Cleanup(m.Release)
+		if !kernel {
+			m.Hart().Core.SetSink(timeOnlySampler{})
+		}
+		_, err := m.Run("walk", args(uint64(len(m.mem)))...)
+		return m, err
+	}
+	km, kerr := run(true)
+	gm, gerr := run(false)
+	if kerr == nil || !strings.Contains(kerr.Error(), trap) {
+		t.Fatalf("kernel run: %v, want %q", kerr, trap)
+	}
+	if gerr == nil || kerr.Error() != gerr.Error() || km.Steps() != gm.Steps() {
+		t.Errorf("kernel trapped at step %d (%v), generic at %d (%v)",
+			km.Steps(), kerr, gm.Steps(), gerr)
+	}
+	if !bytes.Equal(km.mem, gm.mem) {
+		t.Error("kernel left a different memory image")
+	}
+	if km.dirtyHigh != gm.dirtyHigh {
+		t.Errorf("dirty high-water mark: kernel %#x, generic %#x", km.dirtyHigh, gm.dirtyHigh)
+	}
+	if ks, gs := km.Hart().Core.Stats(), gm.Hart().Core.Stats(); ks != gs {
+		t.Errorf("Stats differ:\nkernel  %+v\ngeneric %+v", ks, gs)
+	}
+}
+
+// checkIllegalVectorTrap runs the walk loop, whose body loads and
+// stores an <8 x f32>, on platforms that cannot execute it: the U74
+// has no vector unit, and the C910's 16-byte VLEN is too narrow. The kernel
+// checks vector types once per loop entry, so it must still run the
+// ops before the first vector one and trap there with the same
+// charges as the generic executor, which checks per step.
+func checkIllegalVectorTrap(t *testing.T) {
+	prog, err := Compile(buildOOBModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		plat *platform.Platform
+		trap string
+	}{
+		{platform.U74(), "has no vector unit"},
+		{platform.C910(), "exceeds VLEN of 16 bytes"},
+	} {
+		t.Run(tc.plat.Name, func(t *testing.T) {
+			compareWalkTraps(t, prog, tc.plat, func(uint64) []uint64 { return walkArgs(10) }, tc.trap)
 		})
 	}
 }

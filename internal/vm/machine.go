@@ -152,9 +152,6 @@ type Machine struct {
 	pendFrom int
 	pendN    int
 	pendSalt uint32
-	// kernDyn is the specialized loop kernels' per-iteration dyn
-	// buffer (kernels.go), separate from the pending-region buffers.
-	kernDyn []machine.RegionDyn
 
 	// functional is set for the duration of a RunFunctional call:
 	// regions still execute their semantics but are not handed to the
@@ -477,6 +474,11 @@ func (m *Machine) vector(fr *frame, op *operand) []uint64 {
 	}
 	trapf("scalar operand used as vector operand")
 	return nil
+}
+
+// vectorOK reports whether the platform can execute the vector type.
+func (m *Machine) vectorOK(ty ir.Type) bool {
+	return m.vlenBytes != 0 && ty.Size() <= m.vlenBytes
 }
 
 // checkVector traps when the platform cannot execute the vector type,

@@ -78,10 +78,9 @@ type phiMove struct {
 
 // loopKernel is a specialized executor for a recognized hot-loop
 // block shape (see kernels.go): it iterates the loop natively,
-// charging per-iteration region deltas, and returns the successor
-// block after performing the exit edge's phi moves — or nil to decline
-// at runtime and fall back to the generic region executor.
-type loopKernel func(m *Machine, fr *frame, bp *blockPlan) *blockPlan
+// charging per-iteration region deltas, and returns the loop's exit
+// block after performing the exit edge's phi moves.
+type loopKernel func(m *Machine, fr *frame) *blockPlan
 
 // blockPlan is a pre-decoded basic block.
 type blockPlan struct {

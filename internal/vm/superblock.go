@@ -22,7 +22,7 @@ import (
 // While an overflow sampler is armed, the loop also flushes at every
 // block edge and moves the core's PC there, so samples attribute to
 // block PCs; TestSuperblockInvariance pins the catalog's profiles to
-// recorded digests.
+// the golden corpus.
 
 // CodegenTag returns the cache-key component describing the VM's
 // plan/execution scheme. Program caches must include it in their keys
@@ -193,15 +193,8 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint
 	bp := fp.entry
 	for {
 		if kern := bp.kernel; kern != nil && !sampling {
-			if next := kern(m, fr, bp); next != nil {
-				if next == retMarker {
-					break
-				}
-				bp = next
-				continue
-			}
-			// Kernel declined (shape guard failed at runtime); fall
-			// through to the generic region executor.
+			bp = kern(m, fr)
+			continue
 		}
 		chain := bp.chain
 		if len(m.pendDyn) < len(bp.chainTmpl) {

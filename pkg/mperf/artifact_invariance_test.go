@@ -1,7 +1,7 @@
 package mperf_test
 
 import (
-	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"mperf/internal/workloads"
@@ -20,49 +20,33 @@ func storeCache(t *testing.T, dir string) *mperf.ProgramCache {
 	return cache
 }
 
-// catalogDiskProfileJSON runs every collector mode over one workload
-// through a cache backed by dir, returning the canonical Profile JSON
-// with the compile accounting and the hierarchical roofline stripped.
-// The first call against a dir compiles and persists; subsequent calls
-// with fresh caches load the serialized artifact from disk.
-func catalogDiskProfileJSON(t *testing.T, name, dir string) []byte {
-	t.Helper()
-	sess := catalogSession(t, name, mperf.WithProgramCache(storeCache(t, dir)))
-	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
-	if err != nil {
-		t.Fatalf("%s: run: %v", name, err)
-	}
-	if err := prof.Err(); err != nil {
-		t.Fatalf("%s: collector errors: %v", name, err)
-	}
-	stripVolatile(prof)
-	b, err := json.Marshal(prof)
-	if err != nil {
-		t.Fatalf("%s: marshal: %v", name, err)
-	}
-	return b
-}
-
 // TestArtifactInvariance is the differential acceptance check of the
-// artifact store: for every workload in the catalog, a profile produced
-// from a disk-loaded program (serialize → deserialize → re-plan) is
-// bit-identical to one produced by a cold in-process compile — across
-// counting (stat), overflow sampling (record), roofline and topdown
-// collection. The per-instruction subtests also pin the disk-loaded
-// profile to the digest recorded from the per-instruction loop (see
-// TestSuperblockInvariance).
+// artifact store: for every workload in the catalog, on all four
+// platforms, a profile produced from a disk-loaded program (serialize →
+// deserialize → re-plan) must match the golden corpus line, as must the
+// profile of the compile that persisted it — across counting (stat),
+// overflow sampling (record), roofline and topdown collection. The
+// superblocks/<workload> subtests compile into a fresh artifact
+// directory per platform, and the per-instruction/<workload> subtests
+// profile again from fresh caches that load those artifacts; both
+// names are kept test IDs from before the corpus covered every
+// platform.
 func TestArtifactInvariance(t *testing.T) {
-	digests := catalogDigests(t)
-	warm := map[string][]byte{}
+	digests := corpusDigests(t)
+	root := t.TempDir() // outlives the subtests, unlike theirs
+	dirs := map[string]string{}
 	t.Run("superblocks", func(t *testing.T) {
 		for _, name := range workloads.Names() {
 			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				cold := catalogDiskProfileJSON(t, name, dir)      // compiles, persists
-				warm[name] = catalogDiskProfileJSON(t, name, dir) // fresh cache: loads from disk
-				if string(cold) != string(warm[name]) {
-					t.Errorf("profile from disk-loaded program diverges from cold compile\ncold: %s\nwarm: %s",
-						cold, warm[name])
+				for _, plat := range corpusPlatforms {
+					dir := filepath.Join(root, plat+"-"+name)
+					cache := storeCache(t, dir)
+					_, pinned := corpusProfile(t, plat, name, cache) // compiles, persists
+					checkCorpus(t, digests, plat, name, pinned)
+					if st := cache.Stats(); st.Compiled == 0 || st.DiskHits != 0 {
+						t.Fatalf("%s/%s: cold cache stats %+v, want compiles only", plat, name, st)
+					}
+					dirs[plat+" "+name] = dir
 				}
 			})
 		}
@@ -70,10 +54,18 @@ func TestArtifactInvariance(t *testing.T) {
 	t.Run("per-instruction", func(t *testing.T) {
 		for _, name := range workloads.Names() {
 			t.Run(name, func(t *testing.T) {
-				if warm[name] == nil {
-					t.Fatal("no disk-loaded profile: the superblocks subtest did not record one")
+				for _, plat := range corpusPlatforms {
+					dir, ok := dirs[plat+" "+name]
+					if !ok {
+						t.Fatalf("%s/%s: no artifact directory: the superblocks subtest did not fill one", plat, name)
+					}
+					cache := storeCache(t, dir)
+					_, pinned := corpusProfile(t, plat, name, cache) // fresh cache: loads from disk
+					checkCorpus(t, digests, plat, name, pinned)
+					if st := cache.Stats(); st.Compiled != 0 || st.DiskHits == 0 {
+						t.Errorf("%s/%s: warm cache stats %+v, want disk hits only", plat, name, st)
+					}
 				}
-				checkDigest(t, digests, "x60", name, warm[name])
 			})
 		}
 	})

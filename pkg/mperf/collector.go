@@ -208,9 +208,9 @@ func (rooflineCollector) Collect(s *Session, p *Profile) error {
 
 // collectHierarchical builds the L1/L2/DRAM extension from the
 // per-level traffic the two-phase runner attributed during phase 1.
-// It only appends to the result — the legacy single-ceiling fields are
-// already final and stay byte-identical (pinned catalog-wide by
-// TestHierarchicalRooflineInvariance).
+// It only appends to the result; the single-ceiling fields are already
+// final. Both are pinned catalog-wide by the golden corpus
+// (TestSuperblockInvariance).
 func collectHierarchical(s *Session, res *roofline.RunResult, out *RooflineResult) {
 	plat := s.plat
 	freq := plat.Core.FreqHz

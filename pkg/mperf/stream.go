@@ -59,7 +59,7 @@ func (s *Session) RunStream(ctx context.Context, sink func(CollectorResult), col
 		partial.Collectors = []string{c.Name()}
 		err := s.collect(ctx, c, partial)
 		final.Collectors = append(final.Collectors, c.Name())
-		mergeSection(final, c.Name(), partial)
+		mergeSection(final, partial)
 		if err != nil {
 			final.Errors = append(final.Errors, collectorError(c.Name(), err))
 		}
@@ -79,67 +79,32 @@ func (s *Session) RunStream(ctx context.Context, sink func(CollectorResult), col
 	return final, ctx.Err()
 }
 
-// mergeSection folds one collector's partial profile into dst. Each
-// built-in collector owns its sections and copies them over whole. The
-// profile-level IPC is stat's whenever stat ran; record supplies it
-// only when no earlier section set it, so stat wins in either order.
-// Unknown (externally registered) collectors get the generic
-// copy-non-zero-sections rule.
-func mergeSection(dst *Profile, name string, src *Profile) {
-	if src == nil {
-		return
-	}
-	switch name {
-	case "stat":
-		if src.Events != nil {
-			dst.Events = src.Events
-			dst.ElapsedSeconds = src.ElapsedSeconds
-			dst.IPC = src.IPC
-		}
-	case "record":
-		mergeRecord(dst, src)
-	case "roofline":
-		if src.Roofline != nil {
-			dst.Roofline = src.Roofline
-		}
-	case "topdown":
-		if src.TopDown != nil {
-			dst.TopDown = src.TopDown
-		}
-	default:
-		mergeGeneric(dst, src)
-	}
-}
-
-func mergeRecord(dst, src *Profile) {
-	if src.Recording == nil && src.SampleCount == 0 {
-		return // the collector failed before recording anything
-	}
-	dst.Recording = src.Recording
-	dst.SampleCount = src.SampleCount
-	dst.LostSamples = src.LostSamples
-	dst.SamplingLeader = src.SamplingLeader
-	dst.Hotspots = src.Hotspots
-	if dst.IPC == 0 {
-		dst.IPC = src.IPC
-	}
-}
-
-// mergeGeneric copies every collector-owned section src populated,
-// leaving profile-header and bookkeeping fields to RunStream itself.
-func mergeGeneric(dst, src *Profile) {
+// mergeSection folds one collector's partial profile into dst with
+// one rule for every collector, built-in or registered: each section
+// the partial populated replaces dst's. A zero IPC (stat over an event
+// set without cycles or instructions, a collector that does not report
+// one) never replaces another; the collectors that do report one
+// measure the same deterministic execution, so the profile's IPC does
+// not depend on collector order.
+func mergeSection(dst, src *Profile) {
 	if src.Events != nil {
 		dst.Events = src.Events
 		dst.ElapsedSeconds = src.ElapsedSeconds
 	}
-	mergeRecord(dst, src)
+	if src.IPC != 0 {
+		dst.IPC = src.IPC
+	}
+	if src.Recording != nil || src.SampleCount != 0 {
+		dst.Recording = src.Recording
+		dst.SampleCount = src.SampleCount
+		dst.LostSamples = src.LostSamples
+		dst.SamplingLeader = src.SamplingLeader
+		dst.Hotspots = src.Hotspots
+	}
 	if src.Roofline != nil {
 		dst.Roofline = src.Roofline
 	}
 	if src.TopDown != nil {
 		dst.TopDown = src.TopDown
-	}
-	if dst.IPC == 0 && src.IPC != 0 {
-		dst.IPC = src.IPC
 	}
 }

@@ -209,3 +209,46 @@ func TestRunStreamRunsOneCollectorAtATime(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStreamMergeIndependentOfOrder pins RunStream's merge rule:
+// the merged profile does not depend on the order the collectors are
+// declared in. Apart from the collector list and the compile
+// accounting, stat then record equals record then stat, both with the
+// default event set and with one that has no cycles or instructions,
+// where stat reports no IPC and record's must survive in either order.
+func TestRunStreamMergeIndependentOfOrder(t *testing.T) {
+	for _, events := range [][]string{nil, {"branches", "branch-misses"}} {
+		run := func(order ...string) (*mperf.Profile, []byte) {
+			opts := streamOpts(mperf.NewProgramCache())
+			if events != nil {
+				opts = append(opts, mperf.WithStatEvents(events...))
+			}
+			sess, err := mperf.Open("x60", "dot", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := sess.Run(mperf.MustCollectors(order...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prof.Err(); err != nil {
+				t.Fatalf("%v: %v", order, err)
+			}
+			prof.Collectors, prof.CompileStats = nil, nil
+			data, err := json.Marshal(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prof, data
+		}
+		prof, statFirst := run("stat", "record")
+		_, recordFirst := run("record", "stat")
+		if prof.IPC == 0 {
+			t.Errorf("events %v: merged IPC is 0", events)
+		}
+		if !bytes.Equal(statFirst, recordFirst) {
+			t.Errorf("events %v: merged profile depends on collector order\nstat,record: %s\nrecord,stat: %s",
+				events, statFirst, recordFirst)
+		}
+	}
+}

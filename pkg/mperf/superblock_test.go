@@ -42,41 +42,35 @@ func catalogSessionOn(t *testing.T, plat, name string, opts ...mperf.Option) *mp
 	return sess
 }
 
-// catalogProfileJSON runs every collector mode over one workload and
-// returns the canonical Profile JSON, with the compile accounting
-// (which legitimately differs between cold and warm caches) and the
-// hierarchical roofline (which postdates the recorded digests; see
-// TestHierarchicalRooflineInvariance) stripped. Collector errors stay
-// in the JSON (its errors list), so the digests pin them too.
-func catalogProfileJSON(t *testing.T, plat, name string) []byte {
+// corpusPlatforms are the platforms the golden corpus covers: all
+// four, so both in-order (X60, U74) and both out-of-order (i5, C910)
+// pipelines are pinned.
+var corpusPlatforms = []string{"x60", "i5", "c910", "u74"}
+
+// corpusProfile runs stat, record, roofline and topdown on one session
+// over a catalog workload on plat, compiling through cache, and returns
+// the profile and the bytes testdata/catalog_digests.txt pins: its JSON
+// with only the compile accounting (which depends on cache state)
+// removed. Collector errors stay in the JSON (its errors list), so the
+// corpus pins them too. It is the one builder of pinned profile bytes.
+func corpusProfile(t *testing.T, plat, name string, cache *mperf.ProgramCache) (*mperf.Profile, []byte) {
 	t.Helper()
-	sess := catalogSessionOn(t, plat, name, mperf.WithProgramCache(mperf.NewProgramCache()))
+	sess := catalogSessionOn(t, plat, name, mperf.WithProgramCache(cache))
 	prof, err := sess.Run(mperf.MustCollectors("stat", "record", "roofline", "topdown")...)
 	if err != nil {
 		t.Fatalf("%s/%s: run: %v", plat, name, err)
 	}
-	stripVolatile(prof)
+	prof.CompileStats = nil
 	b, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatalf("%s/%s: marshal: %v", plat, name, err)
 	}
-	return b
+	return prof, b
 }
 
-// stripVolatile removes what the catalog digests do not pin: the
-// compile accounting and the hierarchical roofline.
-func stripVolatile(prof *mperf.Profile) {
-	prof.CompileStats = nil
-	if prof.Roofline != nil {
-		prof.Roofline.Hierarchical = nil
-	}
-}
-
-// catalogDigests reads testdata/catalog_digests.txt: the sha256 of
-// catalogProfileJSON per "platform workload", recorded while the
-// per-instruction and superblock interpreter loops agreed byte for
-// byte.
-func catalogDigests(t *testing.T) map[string]string {
+// corpusDigests reads testdata/catalog_digests.txt: the sha256 of
+// corpusProfile's bytes per "platform workload".
+func corpusDigests(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "catalog_digests.txt"))
 	if err != nil {
@@ -102,41 +96,38 @@ func catalogDigests(t *testing.T) map[string]string {
 	return digests
 }
 
-// checkDigest compares a profile's sha256 with the recorded digest for
-// plat/name and reports the actual digest on a mismatch.
-func checkDigest(t *testing.T, digests map[string]string, plat, name string, profile []byte) {
+// checkCorpus compares a profile's pinned bytes with the corpus line
+// for plat/name and reports the actual digest on a mismatch.
+func checkCorpus(t *testing.T, digests map[string]string, plat, name string, pinned []byte) {
 	t.Helper()
-	sum := sha256.Sum256(profile)
+	sum := sha256.Sum256(pinned)
 	got := hex.EncodeToString(sum[:])
 	want, ok := digests[plat+" "+name]
 	if !ok {
-		t.Errorf("%s/%s: no recorded digest (actual %s)", plat, name, got)
+		t.Errorf("%s/%s: no corpus line (actual %s)", plat, name, got)
 		return
 	}
 	if got != want {
-		t.Errorf("%s/%s: profile digest %s, recorded %s\nprofile: %s", plat, name, got, want, profile)
+		t.Errorf("%s/%s: profile digest %s, corpus %s\nprofile: %s", plat, name, got, want, pinned)
 	}
 }
-
-// digestPlatforms are the platforms the catalog digests cover: all
-// four, so both in-order (X60, U74) and both out-of-order (i5, C910)
-// pipelines are pinned.
-var digestPlatforms = []string{"x60", "i5", "c910", "u74"}
 
 // TestSuperblockInvariance is the catalog acceptance check of the
 // region interpreter: for every workload in the catalog, on every
 // platform, the Profile JSON across counting (stat), overflow sampling
-// (record), roofline and topdown collection must hash to its recorded
-// digest (see testdata/catalog_digests.txt for when each was recorded).
+// (record), roofline with its hierarchical view, and topdown collection
+// must hash to its corpus line (see testdata/catalog_digests.txt for
+// when and how the lines were recorded).
 func TestSuperblockInvariance(t *testing.T) {
-	digests := catalogDigests(t)
-	if want := len(digestPlatforms) * len(workloads.Names()); len(digests) != want {
-		t.Errorf("%d recorded digests, want one per platform and workload (%d)", len(digests), want)
+	digests := corpusDigests(t)
+	if want := len(corpusPlatforms) * len(workloads.Names()); len(digests) != want {
+		t.Errorf("%d corpus lines, want one per platform and workload (%d)", len(digests), want)
 	}
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
-			for _, plat := range digestPlatforms {
-				checkDigest(t, digests, plat, name, catalogProfileJSON(t, plat, name))
+			for _, plat := range corpusPlatforms {
+				_, pinned := corpusProfile(t, plat, name, mperf.NewProgramCache())
+				checkCorpus(t, digests, plat, name, pinned)
 			}
 		})
 	}
