@@ -194,7 +194,7 @@ func main() {
 	flame := fs.String("flame", "", "record: write a cycles flame graph SVG here")
 	n := fs.Int("n", 128, "matmul dimension")
 	tile := fs.Int("tile", 32, "matmul tile")
-	elems := fs.Int("elems", 0, "element count for dot/triad/stencil (0 = default)")
+	elems := fs.Int("elems", 0, "element count for the array kernels but memset (0 = default; dot, triad and stream_* need a multiple of 16)")
 	collectors := fs.String("collectors", "stat,record,topdown", "profile/matrix: comma-separated collector names, or all")
 	platforms := fs.String("platforms", "all", "matrix: comma-separated platforms, or all")
 	workloadList := fs.String("workloads", "all", "matrix: comma-separated workloads, or all")

@@ -225,6 +225,7 @@ func twoPhasePoint(sess *mperf.Session) (roofline.Point, error) {
 	if err != nil {
 		return roofline.Point{}, err
 	}
+	defer m.Release()
 	spec := sess.Workload()
 	args, err := spec.Args(m)
 	if err != nil {
@@ -234,7 +235,6 @@ func twoPhasePoint(sess *mperf.Session) (roofline.Point, error) {
 	if err != nil {
 		return roofline.Point{}, err
 	}
-	m.Release()
 	lr, ok := two.LoopByFunc(spec.Entry)
 	if !ok {
 		return roofline.Point{}, fmt.Errorf("experiments: %s region not measured on %s",
@@ -289,12 +289,12 @@ func RunFigure4(n, tile int) (*Figure4, error) {
 			if err != nil {
 				return err
 			}
+			defer ms.Release()
 			start := ms.Cycles()
 			if err := sess.Workload().Run(ms); err != nil {
 				return err
 			}
 			selfSec = float64(ms.Cycles()-start) / ms.FreqHz()
-			ms.Release()
 			return nil
 		},
 		// --- x86: Advisor-style PMU estimate on an uninstrumented build. ---
@@ -307,13 +307,13 @@ func RunFigure4(n, tile int) (*Figure4, error) {
 			if err != nil {
 				return err
 			}
+			defer mp.Release()
 			adv, err := roofline.PMUEstimate(mp, "matmul (Advisor-like)", func() error {
 				return sess.Workload().Run(mp)
 			})
 			if err != nil {
 				return err
 			}
-			mp.Release()
 			res.AdvisorLike = adv
 			return nil
 		},
@@ -333,11 +333,11 @@ func RunFigure4(n, tile int) (*Figure4, error) {
 			if err != nil {
 				return err
 			}
+			defer mm.Release()
 			bpc, err := workloads.MemsetStoredBytesPerCycle(mm, "buf", words)
 			if err != nil {
 				return err
 			}
-			mm.Release()
 			res.MemsetBytesPerCycle = bpc
 			return nil
 		},

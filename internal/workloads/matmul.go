@@ -26,11 +26,8 @@ import (
 // multiple of 8 so the trip-count hints license 8-lane vectorization
 // of the j loop and 2-way interleaving of the k reduction.
 func BuildMatmul(mod *ir.Module, n, tile int) (*ir.Func, error) {
-	if n <= 0 || tile <= 0 || n%tile != 0 {
-		return nil, fmt.Errorf("workloads: matmul needs n %% tile == 0, got n=%d tile=%d", n, tile)
-	}
-	if tile%8 != 0 {
-		return nil, fmt.Errorf("workloads: tile %d must be a multiple of 8", tile)
+	if err := checkMatmulSize(n, tile); err != nil {
+		return nil, err
 	}
 	mod.NewGlobal("A", ir.F32, n*n)
 	mod.NewGlobal("B", ir.F32, n*n)
@@ -159,6 +156,15 @@ func BuildMatmul(mod *ir.Module, n, tile int) (*ir.Func, error) {
 	b.SetBlock(exit)
 	b.RetVoid()
 	return f, nil
+}
+
+// checkMatmulSize is the one size rule of the tiled SGEMM, shared by
+// BuildMatmul and MatmulSpec.
+func checkMatmulSize(n, tile int) error {
+	if n <= 0 || tile <= 0 || n%tile != 0 || tile%8 != 0 {
+		return fmt.Errorf("workloads: matmul needs n %% tile == 0 and tile %% 8 == 0, got n=%d tile=%d", n, tile)
+	}
+	return nil
 }
 
 // SeedMatmul fills A and B with a deterministic pattern and zeroes C.

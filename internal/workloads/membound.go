@@ -1,12 +1,6 @@
 package workloads
 
-import (
-	"fmt"
-	"math"
-
-	"mperf/internal/ir"
-	"mperf/internal/vm"
-)
+import "mperf/internal/ir"
 
 // This file holds the memory-bound kernel suite (after Volokitin et
 // al.'s study of memory-bound kernels on RISC-V, PAPERS.md): the three
@@ -24,7 +18,7 @@ func BuildStreamCopy(mod *ir.Module) *ir.Func {
 		ir.NewParam("a", ir.Ptr), ir.NewParam("b", ir.Ptr), ir.NewParam("n", ir.I64))
 	f.SourceFile = "stream.c"
 	f.SourceLine = 7
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[2])
 	v := lp.b.Load(ir.F32, lp.b.GEP(f.Params[1], lp.iv, 4))
 	lp.b.Store(v, lp.b.GEP(f.Params[0], lp.iv, 4))
@@ -41,7 +35,7 @@ func BuildStreamScale(mod *ir.Module) *ir.Func {
 		ir.NewParam("s", ir.F32), ir.NewParam("n", ir.I64))
 	f.SourceFile = "stream.c"
 	f.SourceLine = 12
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[3])
 	v := lp.b.Load(ir.F32, lp.b.GEP(f.Params[1], lp.iv, 4))
 	r := lp.b.FMul(f.Params[2], v)
@@ -59,7 +53,7 @@ func BuildStreamAdd(mod *ir.Module) *ir.Func {
 		ir.NewParam("n", ir.I64))
 	f.SourceFile = "stream.c"
 	f.SourceLine = 16
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[3])
 	bv := lp.b.Load(ir.F32, lp.b.GEP(f.Params[1], lp.iv, 4))
 	cv := lp.b.Load(ir.F32, lp.b.GEP(f.Params[2], lp.iv, 4))
@@ -206,266 +200,4 @@ func BuildPtrChase(mod *ir.Module) *ir.Func {
 	lp.finish()
 	lp.b.Ret(nxt)
 	return f
-}
-
-// seedU64 fills an i64 global with the given values.
-func seedU64(m *vm.Machine, name string, vals []uint64) error {
-	addr, err := m.GlobalAddr(name)
-	if err != nil {
-		return err
-	}
-	for i, v := range vals {
-		if err := m.WriteU64(addr+uint64(i*8), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterIndices is the deterministic index pattern gather and scatter
-// share: (i*7+3) mod n spreads consecutive iterations across the array
-// so consecutive accesses land on different lines for any n > ~16.
-func scatterIndices(n int) []uint64 {
-	idx := make([]uint64, n)
-	for i := range idx {
-		idx[i] = uint64((i*7 + 3) % n)
-	}
-	return idx
-}
-
-// chaseOrder builds a single-cycle permutation for the pointer chase:
-// next[i] = (i + stride) mod n with gcd(stride, n) = 1, stride chosen
-// near n/2 so successive loads jump half the array.
-func chaseOrder(n int) []uint64 {
-	stride := n/2 + 1
-	if stride < 1 {
-		stride = 1
-	}
-	for gcd(stride, n) != 1 {
-		stride++
-	}
-	next := make([]uint64, n)
-	for i := range next {
-		next[i] = uint64((i + stride) % n)
-	}
-	return next
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// StreamCopySpec wires the STREAM copy over n f32 elements.
-func StreamCopySpec(n int) *Spec {
-	return &Spec{
-		Name:        "stream_copy",
-		Description: fmt.Sprintf("STREAM copy over %d f32 elements (pure bandwidth, zero FLOPs)", n),
-		Entry:       "stream_copy",
-		Build: func(mod *ir.Module) error {
-			BuildStreamCopy(mod)
-			mod.NewGlobal("cpa", ir.F32, n)
-			mod.NewGlobal("cpb", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error { return SeedF32(m, "cpb", n) },
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "cpa", "cpb")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(n)), nil
-		},
-	}
-}
-
-// StreamScaleSpec wires the STREAM scale a[i] = s·b[i] over n f32
-// elements.
-func StreamScaleSpec(n int) *Spec {
-	const scale = float32(0.75)
-	return &Spec{
-		Name:        "stream_scale",
-		Description: fmt.Sprintf("STREAM scale over %d f32 elements (bandwidth kernel)", n),
-		Entry:       "stream_scale",
-		Build: func(mod *ir.Module) error {
-			BuildStreamScale(mod)
-			mod.NewGlobal("sla", ir.F32, n)
-			mod.NewGlobal("slb", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error { return SeedF32(m, "slb", n) },
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "sla", "slb")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(math.Float32bits(scale)), uint64(n)), nil
-		},
-	}
-}
-
-// StreamAddSpec wires the STREAM add a[i] = b[i] + c[i] over n f32
-// elements.
-func StreamAddSpec(n int) *Spec {
-	return &Spec{
-		Name:        "stream_add",
-		Description: fmt.Sprintf("STREAM add over %d f32 elements (three-stream bandwidth kernel)", n),
-		Entry:       "stream_add",
-		Build: func(mod *ir.Module) error {
-			BuildStreamAdd(mod)
-			mod.NewGlobal("ada", ir.F32, n)
-			mod.NewGlobal("adb", ir.F32, n)
-			mod.NewGlobal("adc", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "adb", n); err != nil {
-				return err
-			}
-			return SeedF32(m, "adc", n)
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "ada", "adb", "adc")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(n)), nil
-		},
-	}
-}
-
-// GatherSpec wires the irregular gather a[i] = b[idx[i]] over n
-// elements.
-func GatherSpec(n int) *Spec {
-	return &Spec{
-		Name:        "gather",
-		Description: fmt.Sprintf("irregular gather over %d f32 elements (data-dependent loads)", n),
-		Entry:       "gather",
-		Build: func(mod *ir.Module) error {
-			BuildGather(mod)
-			mod.NewGlobal("ga", ir.F32, n)
-			mod.NewGlobal("gb", ir.F32, n)
-			mod.NewGlobal("gidx", ir.I64, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "gb", n); err != nil {
-				return err
-			}
-			return seedU64(m, "gidx", scatterIndices(n))
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "ga", "gb", "gidx")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(n)), nil
-		},
-	}
-}
-
-// ScatterSpec wires the irregular scatter a[idx[i]] = b[i] over n
-// elements.
-func ScatterSpec(n int) *Spec {
-	return &Spec{
-		Name:        "scatter",
-		Description: fmt.Sprintf("irregular scatter over %d f32 elements (data-dependent stores)", n),
-		Entry:       "scatter",
-		Build: func(mod *ir.Module) error {
-			BuildScatter(mod)
-			mod.NewGlobal("sa", ir.F32, n)
-			mod.NewGlobal("sb", ir.F32, n)
-			mod.NewGlobal("sidx", ir.I64, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "sb", n); err != nil {
-				return err
-			}
-			return seedU64(m, "sidx", scatterIndices(n))
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "sa", "sb", "sidx")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(n)), nil
-		},
-	}
-}
-
-// spmvNNZPerRow fixes the synthetic CSR matrix's density: 8 nonzeros
-// in every row, columns scattered with the (k*7+3) mod n pattern.
-const spmvNNZPerRow = 8
-
-// SpMVSpec wires the CSR sparse matrix-vector product over a rows×rows
-// matrix with spmvNNZPerRow nonzeros per row.
-func SpMVSpec(rows int) *Spec {
-	nnz := rows * spmvNNZPerRow
-	return &Spec{
-		Name:        "spmv",
-		Description: fmt.Sprintf("CSR SpMV, %d rows × %d nnz/row (irregular memory-bound kernel)", rows, spmvNNZPerRow),
-		Entry:       "spmv",
-		Build: func(mod *ir.Module) error {
-			BuildSpMV(mod)
-			mod.NewGlobal("sy", ir.F32, rows)
-			mod.NewGlobal("sval", ir.F32, nnz)
-			mod.NewGlobal("scol", ir.I64, nnz)
-			mod.NewGlobal("srowptr", ir.I64, rows+1)
-			mod.NewGlobal("sx", ir.F32, rows)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "sval", nnz); err != nil {
-				return err
-			}
-			if err := SeedF32(m, "sx", rows); err != nil {
-				return err
-			}
-			cols := make([]uint64, nnz)
-			for k := range cols {
-				cols[k] = uint64((k*7 + 3) % rows)
-			}
-			if err := seedU64(m, "scol", cols); err != nil {
-				return err
-			}
-			rp := make([]uint64, rows+1)
-			for r := range rp {
-				rp[r] = uint64(r * spmvNNZPerRow)
-			}
-			return seedU64(m, "srowptr", rp)
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "sy", "sval", "scol", "srowptr", "sx")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(rows)), nil
-		},
-	}
-}
-
-// PtrChaseSpec wires the dependent-load pointer chase over an n-entry
-// index cycle, walked for n steps.
-func PtrChaseSpec(n int) *Spec {
-	return &Spec{
-		Name:        "ptrchase",
-		Description: fmt.Sprintf("pointer chase over %d-entry cycle (latency-bound, zero MLP)", n),
-		Entry:       "ptrchase",
-		Build: func(mod *ir.Module) error {
-			BuildPtrChase(mod)
-			mod.NewGlobal("chain", ir.I64, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error { return seedU64(m, "chain", chaseOrder(n)) },
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			chain, err := m.GlobalAddr("chain")
-			if err != nil {
-				return nil, err
-			}
-			return []uint64{chain, 0, uint64(n)}, nil
-		},
-	}
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -98,11 +97,12 @@ type Params struct {
 	Sqlite *SqliteConfig
 	// MatmulN and MatmulTile size the tiled SGEMM (defaults 128/32).
 	MatmulN, MatmulTile int
-	// Elems is the vector length for the streaming kernels
-	// (dot/triad/stencil; default 65536).
+	// Elems sizes every array kernel but memset (default 65536).
+	// dot, triad and the three other STREAM kernels need a multiple
+	// of 16.
 	Elems int
 	// MemsetWords is the memset buffer length in 8-byte words
-	// (default 1Mi words = 8 MiB).
+	// (default 1Mi words = 8 MiB), a multiple of 16.
 	MemsetWords int
 }
 
@@ -111,6 +111,13 @@ func (p Params) elems() int {
 		return p.Elems
 	}
 	return 1 << 16
+}
+
+func (p Params) memsetWords() int {
+	if p.MemsetWords > 0 {
+		return p.MemsetWords
+	}
+	return 1 << 20
 }
 
 // Fingerprint renders the params as a stable, canonical cache-key
@@ -128,58 +135,33 @@ func (p Params) Fingerprint() string {
 		sq, p.MatmulN, p.MatmulTile, p.Elems, p.MemsetWords)
 }
 
-// Factory builds a Spec for the given parameters.
-type Factory func(p Params) (*Spec, error)
-
-var registry = map[string]Factory{
-	"sqlite": func(p Params) (*Spec, error) {
-		cfg := DefaultSqliteConfig()
-		if p.Sqlite != nil {
-			cfg = *p.Sqlite
-		}
-		return SqliteSpec(cfg), nil
-	},
-	"matmul": func(p Params) (*Spec, error) {
-		n, tile := p.MatmulN, p.MatmulTile
-		if n == 0 {
-			n = 128
-		}
-		if tile == 0 {
-			tile = 32
-		}
-		return MatmulSpec(n, tile)
-	},
-	"dot":     func(p Params) (*Spec, error) { return DotSpec(p.elems()), nil },
-	"triad":   func(p Params) (*Spec, error) { return TriadSpec(p.elems()), nil },
-	"stencil": func(p Params) (*Spec, error) { return StencilSpec(p.elems()), nil },
-	"memset": func(p Params) (*Spec, error) {
-		words := p.MemsetWords
-		if words == 0 {
-			words = 1 << 20
-		}
-		return MemsetSpec(words), nil
-	},
-	// The memory-bound suite (Volokitin et al., PAPERS.md); all sized
-	// by Params.Elems like the other streaming kernels.
-	"stream_copy":  func(p Params) (*Spec, error) { return StreamCopySpec(p.elems()), nil },
-	"stream_scale": func(p Params) (*Spec, error) { return StreamScaleSpec(p.elems()), nil },
-	"stream_add":   func(p Params) (*Spec, error) { return StreamAddSpec(p.elems()), nil },
-	"gather":       func(p Params) (*Spec, error) { return GatherSpec(p.elems()), nil },
-	"scatter":      func(p Params) (*Spec, error) { return ScatterSpec(p.elems()), nil },
-	"spmv":         func(p Params) (*Spec, error) { return SpMVSpec(p.elems()), nil },
-	"ptrchase":     func(p Params) (*Spec, error) { return PtrChaseSpec(p.elems()), nil },
-}
-
-// Register adds a named workload factory. It errors on duplicates so
-// two packages cannot silently fight over a name.
-func Register(name string, f Factory) error {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if _, ok := registry[key]; ok {
-		return fmt.Errorf("workloads: %q already registered", key)
+// registry maps every workload name to its Spec constructor: the two
+// hand-wired workloads and every entry of the kernels table.
+var registry = func() map[string]func(Params) (*Spec, error) {
+	r := map[string]func(Params) (*Spec, error){
+		"sqlite": func(p Params) (*Spec, error) {
+			cfg := DefaultSqliteConfig()
+			if p.Sqlite != nil {
+				cfg = *p.Sqlite
+			}
+			return SqliteSpec(cfg), nil
+		},
+		"matmul": func(p Params) (*Spec, error) {
+			n, tile := p.MatmulN, p.MatmulTile
+			if n == 0 {
+				n = 128
+			}
+			if tile == 0 {
+				tile = 32
+			}
+			return MatmulSpec(n, tile)
+		},
 	}
-	registry[key] = f
-	return nil
-}
+	for i := range kernels {
+		r[kernels[i].name] = kernels[i].spec
+	}
+	return r
+}()
 
 // Names returns the registered workload names, sorted.
 func Names() []string {
@@ -226,8 +208,8 @@ func SqliteSpec(cfg SqliteConfig) *Spec {
 
 // MatmulSpec wires the paper's tiled SGEMM kernel (§5.2).
 func MatmulSpec(n, tile int) (*Spec, error) {
-	if n <= 0 || tile <= 0 || n%tile != 0 || tile%8 != 0 {
-		return nil, fmt.Errorf("workloads: matmul needs n %% tile == 0 and tile %% 8 == 0, got n=%d tile=%d", n, tile)
+	if err := checkMatmulSize(n, tile); err != nil {
+		return nil, err
 	}
 	return &Spec{
 		Name:        "matmul",
@@ -246,113 +228,6 @@ func MatmulSpec(n, tile int) (*Spec, error) {
 			return append(addrs, uint64(n)), nil
 		},
 	}, nil
-}
-
-// DotSpec wires the FP dot-product reduction over n f32 elements.
-func DotSpec(n int) *Spec {
-	return &Spec{
-		Name:        "dot",
-		Description: fmt.Sprintf("f32 dot product over %d elements (FP reduction)", n),
-		Entry:       "dot",
-		Build: func(mod *ir.Module) error {
-			BuildDot(mod)
-			mod.NewGlobal("da", ir.F32, n)
-			mod.NewGlobal("db", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "da", n); err != nil {
-				return err
-			}
-			return SeedF32(m, "db", n)
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "da", "db")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(n)), nil
-		},
-	}
-}
-
-// TriadSpec wires the STREAM triad a[i] = b[i] + s·c[i] over n f32
-// elements.
-func TriadSpec(n int) *Spec {
-	const scale = float32(1.5)
-	return &Spec{
-		Name:        "triad",
-		Description: fmt.Sprintf("STREAM triad over %d f32 elements (bandwidth kernel)", n),
-		Entry:       "triad",
-		Build: func(mod *ir.Module) error {
-			BuildTriad(mod)
-			mod.NewGlobal("ta", ir.F32, n)
-			mod.NewGlobal("tb", ir.F32, n)
-			mod.NewGlobal("tc", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error {
-			if err := SeedF32(m, "tb", n); err != nil {
-				return err
-			}
-			return SeedF32(m, "tc", n)
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "ta", "tb", "tc")
-			if err != nil {
-				return nil, err
-			}
-			return append(addrs, uint64(math.Float32bits(scale)), uint64(n)), nil
-		},
-	}
-}
-
-// StencilSpec wires the 1D three-point stencil over the interior of an
-// n-element f32 array.
-func StencilSpec(n int) *Spec {
-	return &Spec{
-		Name:        "stencil",
-		Description: fmt.Sprintf("1D 3-point stencil over %d f32 elements", n),
-		Entry:       "stencil3",
-		Build: func(mod *ir.Module) error {
-			BuildStencil(mod)
-			mod.NewGlobal("sout", ir.F32, n)
-			mod.NewGlobal("sin", ir.F32, n)
-			return nil
-		},
-		Seed: func(m *vm.Machine) error { return SeedF32(m, "sin", n) },
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			addrs, err := globalAddrs(m, "sout", "sin")
-			if err != nil {
-				return nil, err
-			}
-			// The kernel runs 0..m over pointers offset to the first
-			// interior element; m = n-2 keeps in[i+1] in bounds.
-			return []uint64{addrs[0] + 4, addrs[1] + 4, uint64(n - 2)}, nil
-		},
-	}
-}
-
-// MemsetSpec wires the streaming memset the X60 memory roof is derived
-// from (§5.2), storing words 8-byte words.
-func MemsetSpec(words int) *Spec {
-	return &Spec{
-		Name:        "memset",
-		Description: fmt.Sprintf("streaming memset of %d 8-byte words (memory-roof kernel)", words),
-		Entry:       "memset64",
-		Build: func(mod *ir.Module) error {
-			BuildMemset(mod)
-			mod.NewGlobal("buf", ir.I64, words)
-			return nil
-		},
-		Args: func(m *vm.Machine) ([]uint64, error) {
-			buf, err := m.GlobalAddr("buf")
-			if err != nil {
-				return nil, err
-			}
-			return []uint64{buf, 0xAB, uint64(words)}, nil
-		},
-	}
 }
 
 // globalAddrs resolves several globals at once.

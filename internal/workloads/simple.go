@@ -52,7 +52,7 @@ func BuildMemset(mod *ir.Module) *ir.Func {
 		ir.NewParam("dst", ir.Ptr), ir.NewParam("val", ir.I64), ir.NewParam("n", ir.I64))
 	f.SourceFile = "memset.c"
 	f.SourceLine = 5
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[2])
 	p := lp.b.GEP(f.Params[0], lp.iv, 8)
 	lp.b.Store(f.Params[1], p)
@@ -68,7 +68,7 @@ func BuildTriad(mod *ir.Module) *ir.Func {
 		ir.NewParam("s", ir.F32), ir.NewParam("n", ir.I64))
 	f.SourceFile = "stream.c"
 	f.SourceLine = 21
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[4])
 	pb := lp.b.GEP(f.Params[1], lp.iv, 4)
 	pcv := lp.b.GEP(f.Params[2], lp.iv, 4)
@@ -90,7 +90,7 @@ func BuildDot(mod *ir.Module) *ir.Func {
 		ir.NewParam("a", ir.Ptr), ir.NewParam("b", ir.Ptr), ir.NewParam("n", ir.I64))
 	f.SourceFile = "dot.c"
 	f.SourceLine = 9
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[2])
 	acc := lp.b.Phi(ir.F32)
 	acc.SetName("acc")
@@ -115,7 +115,7 @@ func BuildStencil(mod *ir.Module) *ir.Func {
 		ir.NewParam("out", ir.Ptr), ir.NewParam("in", ir.Ptr), ir.NewParam("m", ir.I64))
 	f.SourceFile = "stencil.c"
 	f.SourceLine = 14
-	f.SetHint("trip_multiple.loop", 16)
+	f.SetHint("trip_multiple.loop", loopMultiple)
 	lp := startLoop(f, f.Params[2])
 	b := lp.b
 	pm := b.GEP(f.Params[1], lp.iv, 4) // in[i] with caller offset +1: in[i-1] at -4
@@ -132,18 +132,10 @@ func BuildStencil(mod *ir.Module) *ir.Func {
 	return f
 }
 
-// SeedF32 fills a global with a deterministic f32 pattern.
+// SeedF32 fills the first n elements of an f32 global with the input
+// pattern of the f32 array kernels.
 func SeedF32(m *vm.Machine, name string, n int) error {
-	addr, err := m.GlobalAddr(name)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := m.WriteF32(addr+uint64(i*4), float32((i%11)-5)*0.5); err != nil {
-			return err
-		}
-	}
-	return nil
+	return array{name: name, elem: ir.F32, fill: f32Fill}.seed(m, n)
 }
 
 // MemsetStoredBytesPerCycle runs memset64 over a buffer and returns

@@ -101,6 +101,7 @@ func (statCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
+	defer m.Release()
 	tool, err := miniperf.Attach(m)
 	if err != nil {
 		return err
@@ -109,7 +110,6 @@ func (statCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
-	m.Release()
 	p.Events = res.Values
 	p.ElapsedSeconds = res.ElapsedSeconds
 	p.IPC = res.IPC()
@@ -127,6 +127,7 @@ func (recordCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
+	defer m.Release()
 	tool, err := miniperf.Attach(m)
 	if err != nil {
 		return err
@@ -150,7 +151,6 @@ func (recordCollector) Collect(s *Session, p *Profile) error {
 		})
 	}
 	p.IPC = m.Hart().Core.Stats().IPC()
-	m.Release()
 	return nil
 }
 
@@ -166,6 +166,7 @@ func (rooflineCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
+	defer m.Release()
 	args, err := s.spec.Args(m)
 	if err != nil {
 		return err
@@ -174,7 +175,6 @@ func (rooflineCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
-	m.Release()
 	plat := s.plat
 	model := &roofline.Model{
 		Platform: plat.Name,
@@ -299,11 +299,11 @@ func (topdownCollector) Collect(s *Session, p *Profile) error {
 	if err != nil {
 		return err
 	}
+	defer m.Release()
 	b, err := tma.Measure(m, func() error { return s.spec.Run(m) })
 	if err != nil {
 		return err
 	}
-	m.Release()
 	p.TopDown = &TopDownResult{
 		Retiring:       b.Retiring,
 		BadSpeculation: b.BadSpeculation,

@@ -284,6 +284,22 @@ func TestSizingValidatedBeforeQueue(t *testing.T) {
 			}
 		}
 	}
+	// A size the workload cannot run is refused the same way: triad's
+	// loop runs in steps of 16.
+	preq := mperfd.ProfileRequest{Platform: "x60", Workload: "triad", Collectors: []string{"stat"},
+		Sizing: mperfd.Sizing{Elems: 1001}}
+	if _, err := srv.Profile(context.Background(), cs, preq, nil); err == nil || !strings.Contains(err.Error(), "16") {
+		t.Errorf("triad at 1001 elements: err = %v, want a multiple-of-16 refusal", err)
+	}
+	body, _ := json.Marshal(preq)
+	resp, err := http.Post(ts.URL+"/v1/profile", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("triad at 1001 elements: status %s, want 400", resp.Status)
+	}
 	if n := cs.Requests(); n != 0 {
 		t.Errorf("session submitted %d requests, want 0", n)
 	}
