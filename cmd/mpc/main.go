@@ -8,7 +8,8 @@
 //	mpc [-profile none|conservative|aggressive] [-lanes 8]
 //	    [-interleave] [-no-lsr] [-instrument] [-verify-only] [file.mir]
 //
-// Without a file argument the module is read from stdin.
+// Without a file argument the module is read from stdin. The module
+// inside a program artifact (vm.EncodeArtifact) is this same text.
 package main
 
 import (

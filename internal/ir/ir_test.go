@@ -279,6 +279,9 @@ func TestParseErrors(t *testing.T) {
 		{"redefinition", "module \"m\"\nfunc @f() -> void {\nentry:\n  %x = add i64 1, 1\n  %x = add i64 2, 2\n  ret\n}"},
 		{"type mismatch", "module \"m\"\nfunc @f(%p: ptr) -> void {\nentry:\n  %x = add i64 %p, 1\n  ret\n}"},
 		{"unterminated string", "module \"m"},
+		{"bad string escape", "module \"m\\q\""},
+		{"loop out of order", "module \"m\"\nloop 2 \"f\" \"loop\" \"f.c\" 1"},
+		{"loop missing line", "module \"m\"\nloop 1 \"f\" \"loop\" \"f.c\""},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {

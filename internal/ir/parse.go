@@ -39,7 +39,7 @@ type token struct {
 }
 
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/2) // printed IR runs about 3 bytes a token
 	line := 1
 	i := 0
 	emit := func(k tokKind, s string) { toks = append(toks, token{k, s, line}) }
@@ -74,15 +74,22 @@ func lex(src string) ([]token, error) {
 				emit(tGlobal, src[i+1:j])
 			}
 			i = j
-		case c == '"':
+		case c == '"': // a Go quoted string, as Print's %q writes it
 			j := i + 1
 			for j < len(src) && src[j] != '"' && src[j] != '\n' {
+				if src[j] == '\\' {
+					j++
+				}
 				j++
 			}
 			if j >= len(src) || src[j] != '"' {
 				return nil, fmt.Errorf("line %d: unterminated string", line)
 			}
-			emit(tString, src[i+1:j])
+			s, err := strconv.Unquote(src[i : j+1])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: bad string %s", line, src[i:j+1])
+			}
+			emit(tString, s)
 			i = j + 1
 		case c == '-' && i+1 < len(src) && src[i+1] == '>':
 			emit(tPunct, "->")
@@ -204,8 +211,12 @@ func (p *parser) module() (*Module, error) {
 			if err := p.function(); err != nil {
 				return nil, err
 			}
+		case tok.kind == tIdent && tok.text == "loop":
+			if err := p.loop(); err != nil {
+				return nil, err
+			}
 		default:
-			return nil, p.errf("expected global or func, got %q", tok.text)
+			return nil, p.errf("expected global, func or loop, got %q", tok.text)
 		}
 	}
 }
@@ -236,6 +247,28 @@ func (p *parser) global() error {
 		return err
 	}
 	p.mod.NewGlobal(name, ty, count)
+	return nil
+}
+
+// loop parses one loop metadata line: loop <id> <func> <header>
+// <file> <line>, with IDs numbered 1, 2, ... in order.
+func (p *parser) loop() error {
+	kw := p.next() // "loop"
+	var f [5]token
+	for i, want := range []tokKind{tNumber, tString, tString, tString, tNumber} {
+		if f[i] = p.next(); f[i].kind != want {
+			return fmt.Errorf("line %d: loop needs <id> <func> <header> <file> <line>", kw.line)
+		}
+	}
+	id, err := strconv.ParseInt(f[0].text, 10, 64)
+	if err != nil || id != int64(len(p.mod.Loops)+1) {
+		return fmt.Errorf("line %d: loop %s out of order, want %d", kw.line, f[0].text, len(p.mod.Loops)+1)
+	}
+	line, err := strconv.Atoi(f[4].text)
+	if err != nil {
+		return fmt.Errorf("line %d: bad loop line %q", kw.line, f[4].text)
+	}
+	p.mod.AddLoopMeta(LoopMeta{FuncName: f[1].text, Header: f[2].text, File: f[3].text, Line: line})
 	return nil
 }
 

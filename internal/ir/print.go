@@ -7,6 +7,9 @@ import (
 )
 
 // Print renders the module in the textual IR format accepted by Parse.
+// The text carries the whole module, loop metadata registry included,
+// so Parse(Print(m)) prints identically: it is also the serialized form
+// of the module inside program artifacts.
 func Print(m *Module) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %q\n", m.MName)
@@ -19,6 +22,14 @@ func Print(m *Module) string {
 	for _, f := range m.Funcs {
 		sb.WriteByte('\n')
 		printFunc(&sb, f)
+	}
+	// Loop metadata, one line per registered loop in ID order:
+	// loop <id> <func> <header> <file> <line>.
+	if len(m.Loops) > 0 {
+		sb.WriteByte('\n')
+	}
+	for _, lm := range m.Loops {
+		fmt.Fprintf(&sb, "loop %d %q %q %q %d\n", lm.ID, lm.FuncName, lm.Header, lm.File, lm.Line)
 	}
 	return sb.String()
 }

@@ -141,10 +141,9 @@ func TypeByName(s string) (Type, bool) {
 			return Type{Kind: Kind(k)}, true
 		}
 		// Vector form: "<elem>x<lanes>".
-		prefix := n + "x"
-		if len(s) > len(prefix) && s[:len(prefix)] == prefix {
+		if len(s) > len(n)+1 && s[:len(n)] == n && s[len(n)] == 'x' {
 			lanes := 0
-			for _, c := range s[len(prefix):] {
+			for _, c := range s[len(n)+1:] {
 				if c < '0' || c > '9' {
 					lanes = -1
 					break

@@ -8,14 +8,14 @@ import (
 )
 
 // This file implements program artifact serialization: the stable
-// parts of a compiled Program — the frozen module and the baked Seed
-// data image — flattened into bytes and back. Exec funcs and
-// superblock templates are Go closures and cannot travel;
-// DecodeArtifact re-plans them from the decoded module, which is cheap
-// next to a cold pipeline compile (no workload build, no vectorizer
-// pipeline, no Seed execution, and — because callers guard artifacts
-// with an integrity checksum and the encoder only ever sees verified
-// modules — no re-verification).
+// parts of a compiled Program — the frozen module, as the printed IR
+// text that cmd/mpc reads too, and the baked Seed data image —
+// flattened into bytes and back. Exec funcs and superblock templates
+// are Go closures and cannot travel; DecodeArtifact parses the module
+// and re-plans them, which is cheap next to a cold pipeline compile
+// (no workload build, no vectorizer pipeline, no Seed execution, and —
+// because callers guard artifacts with an integrity checksum and the
+// encoder only ever sees verified modules — no re-verification).
 //
 // The payload is versioned independently of the codegen scheme: the
 // codegen tag lives in the caller's cache key (a plan change makes old
@@ -24,27 +24,28 @@ import (
 // artifact stores translate into a silent recompile.
 
 // ArtifactVersion identifies the artifact payload layout. Bump on any
-// change to EncodeArtifact's byte format.
-const ArtifactVersion = 3
+// change to EncodeArtifact's byte format. Version 4 carries the module
+// as ir.Print text; version 3 carried a binary module encoding.
+const ArtifactVersion = 4
 
-// EncodeArtifact serializes the program's stable parts: the module and
-// the data image when one was baked.
+// EncodeArtifact serializes the program's stable parts: the module's
+// IR text and the data image when one was baked.
 func EncodeArtifact(p *Program) ([]byte, error) {
 	if p == nil || p.mod == nil {
 		return nil, fmt.Errorf("vm: cannot encode a nil program")
 	}
-	modBytes := ir.EncodeModule(p.mod)
-	out := make([]byte, 0, len(modBytes)+len(p.image)+64)
+	text := ir.Print(p.mod)
+	out := make([]byte, 0, len(text)+len(p.image)+64)
 	out = append(out, ArtifactVersion)
-	out = binary.AppendUvarint(out, uint64(len(modBytes)))
-	out = append(out, modBytes...)
+	out = binary.AppendUvarint(out, uint64(len(text)))
+	out = append(out, text...)
 	out = binary.AppendUvarint(out, uint64(len(p.image)))
 	out = append(out, p.image...)
 	return out, nil
 }
 
 // DecodeArtifact reconstructs a Program from EncodeArtifact bytes:
-// the module is decoded and re-planned (exec funcs, superblock
+// the module text is parsed and re-planned (exec funcs, superblock
 // templates and loop kernels are re-bound), and the data image is
 // reinstalled. The input must be integrity-checked by the caller; any
 // structural mismatch is returned as an error, never a panic.
@@ -83,11 +84,11 @@ func DecodeArtifact(data []byte) (*Program, error) {
 		return nil, fmt.Errorf("vm: artifact version %d, want %d", ver, ArtifactVersion)
 	}
 
-	modLen, err := uvarint("module length")
+	textLen, err := uvarint("module length")
 	if err != nil {
 		return nil, err
 	}
-	modBytes, err := take(modLen, "module")
+	text, err := take(textLen, "module")
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +104,9 @@ func DecodeArtifact(data []byte) (*Program, error) {
 		return nil, fmt.Errorf("vm: artifact has %d trailing bytes", len(data)-pos)
 	}
 
-	mod, err := ir.DecodeModule(modBytes)
+	mod, err := ir.Parse(string(text))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vm: artifact module: %w", err)
 	}
 	// Re-plan without re-verifying: the encoder only sees modules that
 	// already passed ir.Verify, and the caller checksummed the bytes.

@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,9 +144,30 @@ func TestArtifactHotFuncsRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeNoPanic runs DecodeArtifact, failing the test if it panics.
+func decodeNoPanic(t *testing.T, what string, data []byte) (*Program, error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("decode of %s panicked: %v", what, r)
+		}
+	}()
+	return DecodeArtifact(data)
+}
+
+// v3SumArtifact is a version-3 artifact of buildSumModule(4) without a
+// data image, as the binary module encoding of that version wrote it.
+const v3SumArtifact = "03ee01010174010464617461060004010373756d06000201610800016e05000573756d2e630101" +
+	"12747269705f6d756c7469706c652e6c6f6f70200305656e747279046c6f6f7004657869740125000000000000" +
+	"010100082105000000000274310200050000020702000100210600000000027432020106000000000000000000" +
+	"020602000100200800000800027433020200020200001e060000000002743401020400000e0600000000027435" +
+	"020203020500000105000000000274360202020005000200000c01000200000274370202070201000026000000" +
+	"0000010208020102000124000000000001020600000000"
+
 // TestArtifactDecodeRejects pins the decoder's failure modes: version
-// mismatches, truncations and trailing garbage all return errors (and
-// never panic), so the artifact store can fall back to a recompile.
+// mismatches, truncations and trailing garbage all return errors, and
+// no corruption of the module text panics, so the artifact store can
+// fall back to a recompile.
 func TestArtifactDecodeRejects(t *testing.T) {
 	prog := compileSum(t, 128)
 	data, err := EncodeArtifact(prog)
@@ -161,44 +185,51 @@ func TestArtifactDecodeRejects(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 
-	// A version-1 payload carries a superblock flag byte after the
-	// version; it must be rejected by version, not misparsed.
-	v1 := append([]byte{1, 1}, data[1:]...)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("decode of a version-1 payload panicked: %v", r)
-			}
-		}()
-		if _, err := DecodeArtifact(v1); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Fatalf("version-1 payload: want version error, got %v", err)
+	v3, err := hex.DecodeString(v3SumArtifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []struct {
+		name    string
+		payload []byte
+	}{
+		// A version-1 payload carries a superblock flag byte after the
+		// version; a version-2 payload a hot-function flag byte; a
+		// version-3 payload a binary module encoding. Each must be
+		// rejected by version, not misparsed.
+		{"version-1", append([]byte{1, 1}, data[1:]...)},
+		{"version-2", append([]byte{2, 0}, data[1:]...)},
+		{"version-3", v3},
+	} {
+		if _, err := decodeNoPanic(t, old.name+" payload", old.payload); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("%s payload: want version error, got %v", old.name, err)
 		}
-	}()
-
-	// A version-2 payload carries a hot-function flag byte after the
-	// version; it too must be rejected by version.
-	v2 := append([]byte{2, 0}, data[1:]...)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("decode of a version-2 payload panicked: %v", r)
-			}
-		}()
-		if _, err := DecodeArtifact(v2); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Fatalf("version-2 payload: want version error, got %v", err)
-		}
-	}()
+	}
 
 	for _, cut := range []int{0, 1, 2, 3, len(data) / 2, len(data) - 1} {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("decode of %d-byte truncation panicked: %v", cut, r)
-				}
-			}()
-			if _, err := DecodeArtifact(data[:cut]); err == nil {
-				t.Fatalf("truncation to %d bytes accepted", cut)
-			}
-		}()
+		if _, err := decodeNoPanic(t, fmt.Sprintf("%d-byte truncation", cut), data[:cut]); err == nil {
+			t.Fatalf("truncation to %d bytes accepted", cut)
+		}
+	}
+
+	// Corrupt the module text under a consistent length prefix: every
+	// truncation and single-byte flip must decode to an error or a
+	// program, never a panic.
+	textLen, n := binary.Uvarint(data[1:])
+	text, rest := data[1+n:1+n+int(textLen)], data[1+n+int(textLen):]
+	withText := func(text []byte) []byte {
+		out := binary.AppendUvarint([]byte{ArtifactVersion}, uint64(len(text)))
+		return append(append(out, text...), rest...)
+	}
+	if _, err := decodeNoPanic(t, "re-framed artifact", withText(text)); err != nil {
+		t.Fatalf("re-framing the intact text: %v", err)
+	}
+	for cut := 0; cut < len(text); cut++ {
+		_, _ = decodeNoPanic(t, fmt.Sprintf("module text cut to %d bytes", cut), withText(text[:cut]))
+	}
+	for i := range text {
+		mangled := append([]byte(nil), text...)
+		mangled[i] ^= 0x5a
+		_, _ = decodeNoPanic(t, fmt.Sprintf("module text flipped at byte %d", i), withText(mangled))
 	}
 }

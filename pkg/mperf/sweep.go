@@ -104,15 +104,19 @@ func resolveMatrix(spec MatrixSpec) (man sweepManifest, err error) {
 			return man, fmt.Errorf("mperf: %w", err)
 		}
 	}
+	if err := man.Config.Validate(); err != nil {
+		return man, err
+	}
+	// Each workload is resolved at the run's sizing, so a size a cell
+	// cannot run (triad at 1001 elements) is refused here, like Open
+	// refuses it, instead of failing inside every affected cell.
 	for _, w := range man.Workloads {
-		if _, err := workloads.Lookup(w, workloads.Params{}); err != nil {
+		if _, err := workloads.Lookup(w, man.Config.params()); err != nil {
 			return man, fmt.Errorf("mperf: %w", err)
 		}
 	}
-	if _, err := Collectors(man.Collectors...); err != nil {
-		return man, err
-	}
-	return man, man.Config.Validate()
+	_, err = Collectors(man.Collectors...)
+	return man, err
 }
 
 // runMatrixCell executes one cell: a fresh session and fresh collector

@@ -291,3 +291,44 @@ func TestSweepShardValidation(t *testing.T) {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }
+
+// TestMatrixSizingValidated pins that a matrix resolves its workloads
+// at the run's sizing: a size a workload refuses (triad steps by 16)
+// fails validation, RunMatrix and RunSweep up front, like Open, while
+// a workload that takes any size (gather) runs at it.
+func TestMatrixSizingValidated(t *testing.T) {
+	spec := func(workload string) mperf.MatrixSpec {
+		return mperf.MatrixSpec{Platforms: []string{"x60"}, Workloads: []string{workload},
+			Collectors: []string{"stat"}, Options: append(smallOpts(mperf.NewProgramCache()), mperf.WithElems(1001))}
+	}
+	bad := spec("triad")
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "16") {
+		t.Errorf("Validate: triad at 1001 elements: err = %v, want a multiple-of-16 refusal", err)
+	}
+	if _, err := mperf.RunMatrix(bad); err == nil {
+		t.Error("RunMatrix accepted triad at 1001 elements")
+	}
+	dir := t.TempDir()
+	if _, err := mperf.RunSweep(context.Background(), bad, mperf.SweepConfig{Dir: dir}); err == nil {
+		t.Error("RunSweep accepted triad at 1001 elements")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused sweep wrote %d files", len(entries))
+	}
+
+	good := spec("gather")
+	if err := good.Validate(); err != nil {
+		t.Fatalf("Validate: gather at 1001 elements: %v", err)
+	}
+	res, err := mperf.RunMatrix(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Cells[0]; c.Error != "" || c.Profile == nil {
+		t.Fatalf("gather at 1001 elements: cell error %q", c.Error)
+	}
+	rep, err := mperf.RunSweep(context.Background(), good, mperf.SweepConfig{Dir: t.TempDir()})
+	if err != nil || rep.Ran != 1 {
+		t.Fatalf("RunSweep of gather at 1001 elements: %+v, %v", rep, err)
+	}
+}

@@ -300,6 +300,22 @@ func TestSizingValidatedBeforeQueue(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("triad at 1001 elements: status %s, want 400", resp.Status)
 	}
+	// A matrix is resolved at its sizing too: triad at 1001 elements is
+	// a 400 on /v1/matrix, not a queued sweep whose cell fails.
+	mreq := mperfd.MatrixRequest{Platforms: []string{"x60"}, Workloads: []string{"triad"}, Collectors: []string{"stat"},
+		Sizing: mperfd.Sizing{Elems: 1001}}
+	if _, err := srv.Matrix(context.Background(), cs, mreq); err == nil || !strings.Contains(err.Error(), "16") {
+		t.Errorf("matrix of triad at 1001 elements: err = %v, want a multiple-of-16 refusal", err)
+	}
+	body, _ = json.Marshal(mreq)
+	resp, err = http.Post(ts.URL+"/v1/matrix", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("matrix of triad at 1001 elements: status %s, want 400", resp.Status)
+	}
 	if n := cs.Requests(); n != 0 {
 		t.Errorf("session submitted %d requests, want 0", n)
 	}
