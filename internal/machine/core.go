@@ -42,11 +42,13 @@ type EventSink interface {
 	Apply(b *DeltaBatch)
 	// WatchMask reports which signals currently have a consumer, as a
 	// bitmask indexed by isa.Signal. The sink must not rely on seeing one
-	// batch per uop: unless a sampler is armed while a count signal is
-	// watched (see SamplingSink), FlushEvents delivers the deltas summed
-	// over a whole region or block. Signals outside the mask, and the
-	// signals with no Stats counter (fp_ops, vec_fp_ops, l1i_*), are
-	// never delivered. Statistics and timing are unaffected either way.
+	// batch per uop or per block: unless a sampler is armed while a count
+	// signal is watched (see SamplingSink), FlushEvents delivers the
+	// deltas summed over a whole region or block, and under a time-only
+	// sampler FlushEdge sums the blocks between deliveries that can fire
+	// an overflow. Signals outside the mask, and the signals with no
+	// Stats counter (fp_ops, vec_fp_ops, l1i_*), are never delivered.
+	// Statistics and timing are unaffected either way.
 	WatchMask() uint64
 }
 
@@ -129,6 +131,12 @@ type Core struct {
 	// event delivery is purely additive and region execution may
 	// coalesce block-edge flushes.
 	sinkSampling bool
+	// headCycles and headInstret are the sink's overflow headroom (see
+	// SamplingSink.Headroom), re-read with sinkMask and after every
+	// delivery while sampling. FlushEdge delivers only once the pending
+	// cycle or instret delta reaches them; both are 0 unless a time-only
+	// sampler is armed, so every edge delivers.
+	headCycles, headInstret uint64
 	// perUop caches whether the watched signals need a flush after every
 	// uop (see needsPerUop); refreshed with sinkMask.
 	perUop bool
@@ -141,6 +149,11 @@ type Core struct {
 	// TimerTicks); the count fields are re-based only while a count
 	// signal is watched, and when one starts being watched.
 	mark Stats
+	// edge holds the time statistics at the last block edge whose
+	// delivery FlushEdge skipped; edgePending says whether there is one
+	// since the last delivery.
+	edge        timeMark
+	edgePending bool
 
 	batch DeltaBatch
 	stats Stats
@@ -215,8 +228,14 @@ func (c *Core) SetPC(pc uint64) { c.pc = pc }
 func (c *Core) Priv() isa.PrivMode { return c.priv }
 
 // SetPriv switches the privilege mode (used by the kernel model for
-// syscall/trap entry and exit).
-func (c *Core) SetPriv(m isa.PrivMode) { c.priv = m }
+// syscall/trap entry and exit). Deltas up to a skipped block edge are
+// delivered first, in the mode that spent them.
+func (c *Core) SetPriv(m isa.PrivMode) {
+	if m != c.priv {
+		c.flushToEdge()
+	}
+	c.priv = m
+}
 
 // SetSink installs the architectural event sink.
 func (c *Core) SetSink(s EventSink) {
@@ -224,12 +243,13 @@ func (c *Core) SetSink(s EventSink) {
 	c.sinkMaskValid = false
 }
 
-// RefreshSinkMask re-reads the sink's watch mask and sampling state,
-// which together decide how often ExecRegion flushes: after every uop
-// when needsPerUop says so, otherwise only when the caller calls
-// FlushEvents. The interpreter calls this when a run starts; anyone
-// reconfiguring counters while driving ExecRegion directly should
-// flush, then call it before the next region.
+// RefreshSinkMask re-reads the sink's watch mask, sampling state and
+// overflow headroom, which together decide how often ExecRegion flushes
+// (after every uop when needsPerUop says so, otherwise only when the
+// caller calls FlushEvents) and when FlushEdge delivers. The interpreter
+// calls this when a run starts; anyone reconfiguring counters while
+// driving ExecRegion directly should flush, then call it before the
+// next region.
 func (c *Core) RefreshSinkMask() {
 	prevCounts := c.sinkMask & countSigMask
 	c.sinkMask = 0
@@ -248,6 +268,7 @@ func (c *Core) RefreshSinkMask() {
 		}
 	}
 	c.perUop = needsPerUop(c.sinkMask, c.sinkSampling)
+	c.refreshHeadroom()
 	if prevCounts == 0 && c.sinkMask&countSigMask != 0 {
 		// Count marks go stale while no count signal is watched; start
 		// the newly watched counts from now, not from an old flush.
@@ -266,19 +287,76 @@ func needsPerUop(mask uint64, sampling bool) bool {
 	return sampling && mask&countSigMask != 0
 }
 
-// FlushEvents delivers Stats − mark for every watched signal, as one
-// batch, and re-bases the marks. It is the only delivery point: the
-// caller flushes at block or region edges, and ExecRegion flushes after
-// every uop when needsPerUop. Sampling overflow fires here, so callers
-// must flush before reading counters or changing the sink
+// refreshHeadroom re-reads the sink's overflow headroom. Only a
+// time-only sampler gets any: with a count signal watched, or a sink
+// that cannot report it, every edge delivers.
+func (c *Core) refreshHeadroom() {
+	c.headCycles, c.headInstret = 0, 0
+	if !c.sinkSampling || c.sinkMask&countSigMask != 0 {
+		return
+	}
+	if s, ok := c.sink.(SamplingSink); ok {
+		c.headCycles, c.headInstret = s.Headroom()
+	}
+}
+
+// timeMark is the time part of the statistics at one point: the
+// fields every flush re-bases.
+type timeMark struct{ cycles, instret, timerTicks uint64 }
+
+// FlushEdge is FlushEvents at a block edge while a sampler may be
+// armed: it delivers only when the cycles or instret pending since the
+// last delivery reach the sink's headroom, so that an overflow can
+// fire, and otherwise just records the edge. The delivery then splits
+// in two: the deltas up to the previous edge, which cannot fire, and
+// the deltas since it, exactly the batch a flush at every edge would
+// send here. The split matters because Apply fires an overflow before
+// adding the later signals of the same batch, so a group read inside
+// the handler would otherwise see members lag the leader. Samples
+// therefore keep their PC, time and group reads. Without a time-only
+// sampler both headrooms are 0 and every call is a FlushEvents.
+func (c *Core) FlushEdge() {
+	instret := c.instretFx >> 8
+	if c.cycles-c.mark.Cycles < c.headCycles && instret-c.mark.Instret < c.headInstret {
+		c.edge = timeMark{c.cycles, instret, c.stats.TimerTicks}
+		c.edgePending = true
+		return
+	}
+	c.FlushEvents()
+}
+
+// FlushEvents delivers Stats − mark for every watched signal and
+// re-bases the marks. It is the unconditional delivery point: the
+// caller flushes at region or frame edges (FlushEdge at sampled block
+// edges), ExecRegion flushes after every uop when needsPerUop, and a
+// run flushes on exit and on traps. Deltas up to an edge FlushEdge
+// skipped go first, as their own batch. Sampling overflow fires here,
+// so callers must flush before reading counters or changing the sink
 // configuration. The time marks are advanced unconditionally, so
 // enabling counters mid-session never replays history.
 func (c *Core) FlushEvents() {
-	instret := c.instretFx >> 8
-	cycleDelta := c.cycles - c.mark.Cycles
-	instretDelta := instret - c.mark.Instret
-	timerCycles := (c.stats.TimerTicks - c.mark.TimerTicks) * c.cfg.TimerHandlerCycles
-	c.mark.Cycles, c.mark.Instret, c.mark.TimerTicks = c.cycles, instret, c.stats.TimerTicks
+	c.flushToEdge()
+	c.deliver(timeMark{c.cycles, c.instretFx >> 8, c.stats.TimerTicks})
+}
+
+// flushToEdge delivers the time deltas up to the last edge FlushEdge
+// skipped, if any. They cannot make an armed counter overflow.
+func (c *Core) flushToEdge() {
+	if c.edgePending {
+		c.edgePending = false
+		c.deliver(c.edge)
+	}
+}
+
+// deliver sends the time deltas from the mark to to, plus the count
+// deltas while a count signal is watched, as one batch, and re-bases
+// the marks. While sampling it then re-reads the sink's headroom,
+// since an overflow handler may have re-armed a counter.
+func (c *Core) deliver(to timeMark) {
+	cycleDelta := to.cycles - c.mark.Cycles
+	instretDelta := to.instret - c.mark.Instret
+	timerCycles := (to.timerTicks - c.mark.TimerTicks) * c.cfg.TimerHandlerCycles
+	c.mark.Cycles, c.mark.Instret, c.mark.TimerTicks = to.cycles, to.instret, to.timerTicks
 	mask := c.sinkMask
 	if mask == 0 || c.sink == nil {
 		return
@@ -302,6 +380,9 @@ func (c *Core) FlushEvents() {
 	}
 	if b.N > 0 {
 		c.sink.Apply(b)
+		if c.sinkSampling {
+			c.refreshHeadroom()
+		}
 	}
 }
 
@@ -358,6 +439,7 @@ func (c *Core) Reset() {
 	c.stats = Stats{}
 	c.sinkMaskValid = false
 	c.mark = Stats{}
+	c.edgePending = false
 	c.nextTimer = 0
 	if c.cfg.TimerIntervalCycles > 0 {
 		c.nextTimer = c.cfg.TimerIntervalCycles
@@ -367,8 +449,8 @@ func (c *Core) Reset() {
 // timeSigMask covers the pure time/instruction signals: the set the
 // X60 sampling workaround watches (mode-cycle leader plus cycles and
 // instret members). A sampler armed on one of them still lets regions
-// charge in one pass, with FlushEvents delivering the batched deltas at
-// block boundaries.
+// charge in one pass, with FlushEdge delivering the batched deltas at
+// the block boundaries where an overflow can fire.
 const timeSigMask = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigInstret) |
 	1<<uint(isa.SigUModeCycle) | 1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
 

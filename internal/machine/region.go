@@ -31,16 +31,25 @@ type RegionDyn struct {
 // SamplingSink is optionally implemented by an EventSink that can fire
 // overflow samples (the PMU model). Cores and the interpreter use it to
 // decide how often events are flushed. With a sampler armed, the
-// interpreter flushes at every block edge — sample PCs attribute at
-// block edges, so coalescing flushes would move samples — and, while a
-// count signal is watched, ExecRegion flushes after every uop. Without
-// one, every watched signal is summed and delivered at region
-// granularity. A sink that does not implement it is conservatively
-// treated as sampling whenever its watch mask is non-zero.
+// interpreter calls FlushEdge at every block edge — sample PCs
+// attribute at block edges — which delivers only once the pending
+// cycles or instret reach the sink's Headroom, and, while a count
+// signal is watched, ExecRegion flushes after every uop. Without one,
+// every watched signal is summed and delivered at region granularity.
+// A sink that does not implement it is conservatively treated as
+// sampling whenever its watch mask is non-zero, with no headroom, so
+// every block edge delivers.
 type SamplingSink interface {
 	// SamplingActive reports whether any overflow sampler is armed on a
 	// running counter.
 	SamplingActive() bool
+	// Headroom bounds the deltas that cannot fire an overflow: a batch
+	// whose cycle delta is below cycles and whose instret delta is below
+	// instret makes no armed counter overflow. Every mode-cycle delta is
+	// at most the cycle delta, so an armed mode-cycle counter bounds
+	// cycles; an armed counter on any other signal must make both 0.
+	// The core re-reads it after every delivery while sampling.
+	Headroom() (cycles, instret uint64)
 }
 
 // SamplingActive reports whether the sink currently has an armed

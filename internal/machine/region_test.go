@@ -179,6 +179,9 @@ func (s *batchLogSink) Apply(b *DeltaBatch) {
 func (s *batchLogSink) WatchMask() uint64    { return timeSigMask | countSigMask }
 func (s *batchLogSink) SamplingActive() bool { return true }
 
+// Headroom reports none, so every block edge delivers.
+func (s *batchLogSink) Headroom() (uint64, uint64) { return 0, 0 }
+
 // TestPerUopBatchesMatchReference pins the delivery a sampler on an
 // event counter relies on: with a sampler armed and every time and
 // count signal watched, ExecRegion plus its per-uop FlushEvents must

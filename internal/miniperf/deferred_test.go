@@ -35,7 +35,13 @@ var smallParams = workloads.Params{
 // instantiate compiles a catalog workload and returns a seeded machine plus a function that runs the entry point.
 func instantiate(t *testing.T, name string, p *platform.Platform) (*vm.Machine, func() error) {
 	t.Helper()
-	spec, err := workloads.Lookup(name, smallParams)
+	return instantiateSized(t, name, smallParams, p)
+}
+
+// instantiateSized is instantiate at the given sizing.
+func instantiateSized(t *testing.T, name string, params workloads.Params, p *platform.Platform) (*vm.Machine, func() error) {
+	t.Helper()
+	spec, err := workloads.Lookup(name, params)
 	if err != nil {
 		t.Fatal(err)
 	}

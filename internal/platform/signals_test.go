@@ -23,6 +23,9 @@ func (s *signalSink) Apply(b *machine.DeltaBatch) {
 func (s *signalSink) WatchMask() uint64    { return ^uint64(0) }
 func (s *signalSink) SamplingActive() bool { return s.sampling }
 
+// Headroom reports none, so every block edge delivers.
+func (s *signalSink) Headroom() (uint64, uint64) { return 0, 0 }
+
 // deliveredSignals drives a core of the given configuration through
 // every uop class — cache-missing loads and stores over a 4 MiB
 // footprint, unpredictable branches and indirect jumps, dependent

@@ -266,3 +266,114 @@ func indexOf(sig isa.Signal) int {
 	}
 	panic(fmt.Sprintf("signal %v is not deferrable", sig))
 }
+
+// everyEdgeSink hides the PMU's overflow headroom, so the core's
+// FlushEdge delivers at every edge.
+type everyEdgeSink struct{ *countingSink }
+
+func (everyEdgeSink) Headroom() (uint64, uint64) { return 0, 0 }
+
+// overflowRecord is what an overflow handler saw: the counter, the
+// core's clock and every counter's value, as a group read would.
+type overflowRecord struct {
+	counter int
+	cycles  uint64
+	values  [pmu.FirstHPM + 3]uint64
+}
+
+// TestFlushEdgeMatchesEveryEdge is the core-level differential check of
+// FlushEdge: with samplers armed on cycles, instret and all three
+// mode-cycle signals, a core that delivers only when an overflow can
+// fire must raise the same overflows, at the same clock, with the same
+// counter values seen from the handler, as one delivering at every
+// edge, across timer ticks, privilege switches between edges and a
+// handler that re-arms with a new period the way freq-mode sampling
+// does. It must also deliver fewer batches.
+func TestFlushEdgeMatchesEveryEdge(t *testing.T) {
+	us, dyn := deferralStream(60_000)
+	sizes := []int{1, 7, 2, 31, 3, 64, 5, 17, 11, 1, 128, 23}
+	modes := []isa.PrivMode{isa.PrivS, isa.PrivU, isa.PrivM, isa.PrivU}
+	for _, plat := range []*platform.Platform{platform.X60(), platform.I5_1135G7()} {
+		t.Run(plat.Name, func(t *testing.T) {
+			cfg := plat.Core
+			cfg.TimerIntervalCycles = 5_000
+			cfg.TimerHandlerCycles = 300
+			run := func(everyEdge bool) ([]overflowRecord, int) {
+				p := pmu.New(deferrableSpec())
+				sink := &countingSink{PMU: p}
+				var es machine.EventSink = sink
+				if everyEdge {
+					es = everyEdgeSink{sink}
+				}
+				c := machine.NewCore(cfg, es)
+				counters := []struct {
+					idx    int
+					ev     isa.EventCode
+					period uint64
+				}{
+					{pmu.CounterCycle, isa.EventCycles, 5003},
+					{pmu.CounterInstret, isa.EventInstructions, 4001},
+					{pmu.FirstHPM, isa.RawEvent(0), 997},      // u_mode_cycle
+					{pmu.FirstHPM + 1, isa.RawEvent(1), 211},  // s_mode_cycle
+					{pmu.FirstHPM + 2, isa.RawEvent(2), 1499}, // m_mode_cycle
+				}
+				var log []overflowRecord
+				p.SetOverflowHandler(func(idx int) {
+					r := overflowRecord{counter: idx, cycles: c.Cycles()}
+					for i := range r.values {
+						r.values[i], _ = p.Read(i)
+					}
+					log = append(log, r)
+					if len(log)%5 == 0 {
+						if err := p.Disarm(idx); err != nil {
+							t.Fatal(err)
+						}
+						if err := p.Arm(idx, 300+uint64(len(log)%7)*101); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+				for _, k := range counters {
+					if err := p.Configure(k.idx, k.ev); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Arm(k.idx, k.period); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Start(k.idx, 0, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.RefreshSinkMask()
+				for i, s := 0, 0; i < len(us); i, s = i+sizes[s%len(sizes)], s+1 {
+					end := min(i+sizes[s%len(sizes)], len(us))
+					c.ExecRegion(us[i:end], dyn[i:end], 0)
+					c.FlushEdge()
+					if s%37 == 36 {
+						c.ExecRegion(us[i:i+1], dyn[i:i+1], 0)
+						c.SetPriv(modes[(s/37)%len(modes)])
+					}
+				}
+				c.FlushEvents()
+				return log, sink.applies
+			}
+			got, gotApplies := run(false)
+			want, wantApplies := run(true)
+			if len(want) < 100 {
+				t.Fatalf("only %d overflows", len(want))
+			}
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("overflow %d: %+v, every edge %+v", i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("%d overflows, every edge %d", len(got), len(want))
+			}
+			if gotApplies >= wantApplies {
+				t.Errorf("%d batches, every edge %d", gotApplies, wantApplies)
+			}
+			t.Logf("%d overflows; %d batches, %d at every edge", len(got), gotApplies, wantApplies)
+		})
+	}
+}

@@ -132,6 +132,12 @@ type PMU struct {
 	// for overflow interrupts (rebuilt with bySignal); while false,
 	// Apply is pure accumulation and the core may batch deliveries.
 	sampling bool
+	// armed lists the running, uninhibited, armed counters (rebuilt
+	// with bySignal); headCycles and headInstret are the headrooms
+	// Headroom reports, refreshed by rebuild and after every Apply
+	// while sampling.
+	armed                   []int
+	headCycles, headInstret uint64
 }
 
 // New builds a PMU from the spec; it panics on malformed specs because
@@ -295,18 +301,50 @@ func (p *PMU) rebuild() {
 		p.bySignal[i] = p.bySignal[i][:0]
 	}
 	p.watchMask = 0
-	p.sampling = false
+	p.armed = p.armed[:0]
 	for i := range p.counters {
 		c := &p.counters[i]
 		if c.running && c.hasSignal && p.inhibit&(1<<uint(i)) == 0 {
 			p.bySignal[c.signal] = append(p.bySignal[c.signal], i)
 			p.watchMask |= 1 << uint(c.signal)
 			if c.armed {
-				p.sampling = true
+				p.armed = append(p.armed, i)
 			}
 		}
 	}
+	p.sampling = len(p.armed) > 0
 	p.dirty = false
+	p.refreshHeadroom()
+}
+
+// cycleLike covers the signals whose delta in any delivered batch is
+// at most the batch's cycle delta: cycles and the three mode-cycle
+// signals.
+const cycleLike = 1<<uint(isa.SigCycle) | 1<<uint(isa.SigUModeCycle) |
+	1<<uint(isa.SigSModeCycle) | 1<<uint(isa.SigMModeCycle)
+
+// refreshHeadroom recomputes, over the armed counters, the smallest
+// distance to the next overflow among those on a cycle-like signal and
+// among those on instret. An armed counter on any other signal sets
+// both to 0: no time delta bounds its events.
+func (p *PMU) refreshHeadroom() {
+	p.headCycles, p.headInstret = ^uint64(0), ^uint64(0)
+	for _, idx := range p.armed {
+		c := &p.counters[idx]
+		var room uint64
+		if c.nextOverflow > c.value {
+			room = c.nextOverflow - c.value
+		}
+		switch {
+		case cycleLike&(1<<uint(c.signal)) != 0:
+			p.headCycles = min(p.headCycles, room)
+		case c.signal == isa.SigInstret:
+			p.headInstret = min(p.headInstret, room)
+		default:
+			p.headCycles, p.headInstret = 0, 0
+			return
+		}
+	}
 }
 
 // WatchMask implements machine.EventSink: it reports which signals
@@ -329,6 +367,17 @@ func (p *PMU) SamplingActive() bool {
 		p.rebuild()
 	}
 	return p.sampling
+}
+
+// Headroom implements machine.SamplingSink: a delivery whose cycle
+// delta is below cycles and whose instret delta is below instret cannot
+// make any armed counter overflow. Without an armed counter both are
+// the maximum uint64.
+func (p *PMU) Headroom() (cycles, instret uint64) {
+	if p.dirty {
+		p.rebuild()
+	}
+	return p.headCycles, p.headInstret
 }
 
 // Apply implements machine.EventSink: it accumulates signal deltas
@@ -357,6 +406,9 @@ func (p *PMU) Apply(b *machine.DeltaBatch) {
 				}
 			}
 		}
+	}
+	if p.sampling {
+		p.refreshHeadroom()
 	}
 }
 

@@ -31,10 +31,13 @@ import (
 // region template per iteration, so profiles are bit-identical — the
 // golden corpus covers workloads whose hot loops run through these
 // kernels, and TestKernelMatchesGenericExecutor compares a kernel with
-// the generic executor directly, trapping runs included. Sampling
-// activations never enter a kernel: they flush events at every block
-// edge, which a native loop would skip. Any block that steps outside
-// the vocabulary simply never gets a kernel and runs generically.
+// the generic executor directly, trapping runs included, with and
+// without an armed PMU sampler. Under sampling a kernel makes the
+// generic loop's edge calls: after the step check of every iteration
+// it calls machine.Core.FlushEdge and moves the core's PC to the
+// block, so an overflow fires at the same iteration edge with the same
+// PC. Any block that steps outside the vocabulary simply never gets a
+// kernel and runs generically.
 
 // kOp kinds. Each recipe op corresponds 1:1 to a block step (and so to
 // a slot of the block's charge template).
@@ -387,6 +390,7 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 			regs[k.reg] = k.imm
 		}
 		core := m.hart.Core
+		sampling := core.SamplingActive()
 		fr.curPC = bp.pc
 		iters := uint64(0)
 		for {
@@ -396,6 +400,12 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 			if m.steps > m.MaxSteps {
 				m.kernelIters += iters
 				trapf("step budget exceeded (%d)", m.MaxSteps)
+			}
+			if sampling {
+				// The block edge into this iteration: the loop entry,
+				// then the back edge of each taken iteration.
+				core.FlushEdge()
+				core.SetPC(bp.pc)
 			}
 			taken := false
 			for i := range ops {

@@ -2,14 +2,18 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mperf/internal/ir"
 	"mperf/internal/isa"
+	"mperf/internal/kernel"
 	"mperf/internal/machine"
 	"mperf/internal/platform"
+	"mperf/internal/pmu"
 )
 
 // buildFMASumModule is buildSumModule with the accumulation expressed
@@ -165,23 +169,63 @@ func (r *countRuntime) Count(h, lb, sb, io, fo int64) {
 	r.sum += h + lb*10 + sb*100 + io*1000 + fo*10000
 }
 
-// timeOnlySampler is a sink with an armed sampler on a time signal
-// only: callFused then skips loop kernels and flushes at every block
-// edge, while ExecRegion still charges whole regions.
-type timeOnlySampler struct{}
+// everyEdgeSink hides the PMU's overflow headroom, so a sampled run
+// delivers events at every block edge: the delivery FlushEdge must be
+// indistinguishable from.
+type everyEdgeSink struct{ *pmu.PMU }
 
-func (timeOnlySampler) Apply(*machine.DeltaBatch) {}
-func (timeOnlySampler) WatchMask() uint64         { return 1 << uint(isa.SigCycle) }
-func (timeOnlySampler) SamplingActive() bool      { return true }
+func (everyEdgeSink) Headroom() (uint64, uint64) { return 0, 0 }
+
+// armSampler opens the record collector's sampling group on m and
+// enables it: a leader overflowing every period counts of the
+// platform's sampling-capable cycle event (u_mode_cycle on the X60,
+// cycles elsewhere), with cycles and instructions read into every
+// sample. The returned function disables the group and drains it.
+func armSampler(t *testing.T, m *Machine, period uint64) func() ([]kernel.SampleRecord, uint64) {
+	t.Helper()
+	k := m.Kernel()
+	leader := isa.EventCycles
+	if m.Platform().Caps.OverflowIRQ == pmu.OverflowLimited {
+		leader = isa.RawEvent(isa.X60EventUModeCycle)
+	}
+	fd, err := k.PerfEventOpen(kernel.EventAttr{
+		Label: "leader", Config: leader, SamplePeriod: period, Disabled: true,
+		SampleType: kernel.SampleIP | kernel.SampleTime | kernel.SampleCallchain |
+			kernel.SampleRead | kernel.SamplePeriod,
+		ReadFormat: kernel.FormatGroup,
+	}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []isa.EventCode{isa.EventCycles, isa.EventInstructions} {
+		if _, err := k.PerfEventOpen(kernel.EventAttr{Label: ev.String(), Config: ev, Disabled: true}, fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.EnableGroup(fd); err != nil {
+		t.Fatal(err)
+	}
+	return func() ([]kernel.SampleRecord, uint64) {
+		if err := k.DisableGroup(fd); err != nil {
+			t.Fatal(err)
+		}
+		rb, err := k.Ring(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb.Drain(), rb.Lost
+	}
+}
 
 // TestKernelMatchesGenericExecutor runs a loop through its kernel and
-// again through the generic executor (a time-only sampler armed, since
-// sampling activations skip kernels), and requires the same return
-// value, memory image, dirty mark, runtime counts, steps and core
-// Stats. A step budget that runs out mid-loop, a missing runtime, an
-// out-of-bounds load or store and a vector type the platform cannot run
-// must each trap both paths at the same step with the same message and
-// the same charges.
+// again through the generic executor (kernels disabled), and requires
+// the same return value, memory image, dirty mark, runtime counts,
+// steps and core Stats. A step budget that runs out mid-loop, a missing
+// runtime, an out-of-bounds load or store and a vector type the
+// platform cannot run must each trap both paths at the same step with
+// the same message and the same charges. Under an armed PMU sampler,
+// the kernel with deferred edge delivery and the generic executor
+// delivering at every edge must also record the same samples.
 func TestKernelMatchesGenericExecutor(t *testing.T) {
 	prog, err := Compile(buildOperandLoopModule())
 	if err != nil {
@@ -190,21 +234,27 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 	for _, plat := range []*platform.Platform{platform.X60(), platform.I5_1135G7()} {
 		t.Run(plat.Name, func(t *testing.T) {
 			type outcome struct {
-				ret   uint64
-				err   error
-				m     *Machine
-				rt    *countRuntime
-				stats machine.Stats
+				ret     uint64
+				err     error
+				m       *Machine
+				rt      *countRuntime
+				stats   machine.Stats
+				samples []kernel.SampleRecord
+				lost    uint64
 			}
-			run := func(kernel bool, maxSteps uint64, withRuntime bool) outcome {
+			// run executes @loop through its kernel or the generic
+			// executor; a non-zero period arms a sampler, and the
+			// generic run then delivers at every block edge.
+			run := func(useKernel bool, maxSteps uint64, withRuntime bool, period uint64) outcome {
 				m := NewMachine(prog, plat)
 				t.Cleanup(m.Release)
 				rt := new(countRuntime)
 				if withRuntime {
 					m.SetRuntime(rt)
 				}
-				if !kernel {
-					m.Hart().Core.SetSink(timeOnlySampler{})
+				m.noKernels = !useKernel
+				if !useKernel && period > 0 {
+					m.Hart().Core.SetSink(everyEdgeSink{m.Hart().PMU})
 				}
 				m.MaxSteps = maxSteps
 				ibuf, _ := m.GlobalAddr("ibuf")
@@ -221,17 +271,25 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 						}
 					}
 				}
+				var drain func() ([]kernel.SampleRecord, uint64)
+				if period > 0 {
+					drain = armSampler(t, m, period)
+				}
 				ret, err := m.Run("loop")
-				if kernel && err == nil && m.kernelIters != operandLoopTrips {
+				o := outcome{ret: ret, err: err, m: m, rt: rt, stats: m.Hart().Core.Stats()}
+				if drain != nil {
+					o.samples, o.lost = drain()
+				}
+				if useKernel && err == nil && m.kernelIters != operandLoopTrips {
 					t.Errorf("kernel ran %d iterations, want %d", m.kernelIters, operandLoopTrips)
 				}
-				if !kernel && m.kernelHits != 0 {
+				if !useKernel && m.kernelHits != 0 {
 					t.Errorf("generic run entered %d kernels", m.kernelHits)
 				}
-				return outcome{ret, err, m, rt, m.Hart().Core.Stats()}
+				return o
 			}
 
-			kern, gen := run(true, defaultMaxStep, true), run(false, defaultMaxStep, true)
+			kern, gen := run(true, defaultMaxStep, true, 0), run(false, defaultMaxStep, true, 0)
 			if kern.err != nil || gen.err != nil {
 				t.Fatalf("kernel run: %v, generic run: %v", kern.err, gen.err)
 			}
@@ -257,7 +315,7 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 			// A step budget that runs out mid-loop traps at the same step
 			// with the same charges.
 			budget := gen.m.Steps() / 2
-			kern, gen = run(true, budget, true), run(false, budget, true)
+			kern, gen = run(true, budget, true, 0), run(false, budget, true, 0)
 			if kern.err == nil || !strings.Contains(kern.err.Error(), "step budget") {
 				t.Fatalf("kernel run under a step budget: %v", kern.err)
 			}
@@ -271,12 +329,36 @@ func TestKernelMatchesGenericExecutor(t *testing.T) {
 
 			// Without a runtime, mperf.count traps in the first
 			// iteration, after the call uop is charged.
-			kern, gen = run(true, defaultMaxStep, false), run(false, defaultMaxStep, false)
+			kern, gen = run(true, defaultMaxStep, false, 0), run(false, defaultMaxStep, false, 0)
 			if kern.err == nil || !strings.Contains(kern.err.Error(), "no runtime installed") {
 				t.Fatalf("kernel run without a runtime: %v", kern.err)
 			}
 			if kern.err.Error() != gen.err.Error() || kern.stats != gen.stats {
 				t.Errorf("runtime trap: kernel %v %+v\ngeneric %v %+v", kern.err, kern.stats, gen.err, gen.stats)
+			}
+
+			// Under an armed sampler, whole and cut short by the step
+			// budget, at a period below one iteration's cycles and at
+			// one spanning several.
+			for _, period := range []uint64{7, 97} {
+				for _, budget := range []uint64{defaultMaxStep, budget} {
+					kern, gen = run(true, budget, true, period), run(false, budget, true, period)
+					label := fmt.Sprintf("period %d, budget %d", period, budget)
+					if fmt.Sprint(kern.err) != fmt.Sprint(gen.err) || kern.ret != gen.ret || kern.stats != gen.stats {
+						t.Errorf("%s: kernel %v %#x %+v\ngeneric %v %#x %+v", label,
+							kern.err, kern.ret, kern.stats, gen.err, gen.ret, gen.stats)
+					}
+					if kern.m.kernelHits == 0 && kern.m.kernelIters == 0 {
+						t.Errorf("%s: the sampled run never entered the kernel", label)
+					}
+					if len(gen.samples) < 4 {
+						t.Errorf("%s: only %d samples", label, len(gen.samples))
+					}
+					if !reflect.DeepEqual(kern.samples, gen.samples) || kern.lost != gen.lost {
+						t.Errorf("%s: kernel recorded %d samples (%d lost), generic %d (%d lost)\nkernel  %+v\ngeneric %+v",
+							label, len(kern.samples), kern.lost, len(gen.samples), gen.lost, kern.samples, gen.samples)
+					}
+				}
 			}
 		})
 	}
@@ -381,9 +463,7 @@ func compareWalkTraps(t *testing.T, prog *Program, plat *platform.Platform, args
 	run := func(kernel bool) (*Machine, error) {
 		m := NewMachine(prog, plat)
 		t.Cleanup(m.Release)
-		if !kernel {
-			m.Hart().Core.SetSink(timeOnlySampler{})
-		}
+		m.noKernels = !kernel
 		_, err := m.Run("walk", args(uint64(len(m.mem)))...)
 		return m, err
 	}

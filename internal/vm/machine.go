@@ -157,6 +157,10 @@ type Machine struct {
 	// regions still execute their semantics but are not handed to the
 	// core, so no clock, statistic or cache state moves.
 	functional bool
+	// noKernels makes every activation run its loops through the
+	// generic executor; only this package's tests set it, to compare a
+	// kernel with the generic path.
+	noKernels bool
 
 	// Coverage counters for -vm-stats (kept out of Profile output).
 	kernelHits  uint64
@@ -408,6 +412,9 @@ func (m *Machine) run(name string, args []uint64) (result uint64, err error) {
 		}
 	}()
 	res, _ := m.call(fp, args, nil)
+	// A sampled frame exit may leave deltas pending (see FlushEdge);
+	// post-run counter reads must see settled values.
+	core.FlushEvents()
 	return res, nil
 }
 

@@ -19,10 +19,17 @@ import (
 // clock), at returns, and on traps — so the core sees the uops in
 // program order.
 //
-// While an overflow sampler is armed, the loop also flushes at every
-// block edge and moves the core's PC there, so samples attribute to
-// block PCs; TestSuperblockInvariance pins the catalog's profiles to
-// the golden corpus.
+// While an overflow sampler is armed, the loop also charges and calls
+// machine.Core.FlushEdge at every block edge and moves the core's PC
+// there, so samples attribute to block PCs. FlushEdge delivers only
+// when the cycles or instret pending since the last delivery could
+// reach an armed counter's next overflow; skipped edges are delivered
+// ahead of that batch, so every sample keeps the IP, time, period,
+// callchain and group reads a delivery at every edge would give it.
+// Loop kernels run under sampling too, with an edge flush before every
+// iteration. TestSuperblockInvariance pins the catalog's profiles to
+// the golden corpus, and TestEdgeDeliveryMatchesEveryEdge in
+// internal/miniperf the sample streams to a delivery at every edge.
 
 // CodegenTag returns the cache-key component describing the VM's
 // plan/execution scheme. Program caches must include it in their keys
@@ -155,11 +162,11 @@ func (m *Machine) flushPending() {
 // call per region. Without an armed sampler, event delivery is pure
 // accumulation, so events are flushed only when control leaves the
 // frame. With one (the state only changes between runs, so it is read
-// once per activation), every block edge flushes the pending charges
-// and the events and moves the core's PC, and specialized loop kernels
-// are skipped: a sample must attribute the cycles before the edge to
-// the block that spent them. Per-block step budgeting is the same
-// either way.
+// once per activation), every block edge charges the pending uops,
+// calls FlushEdge and moves the core's PC: a sample must attribute the
+// cycles before the edge to the block that spent them. Loop kernels
+// make the same edge calls per iteration. Per-block step budgeting is
+// the same either way.
 func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint64, []uint64) {
 	if len(m.frames) >= maxCallDepth {
 		trapf("call depth exceeded in @%s", fp.fn.FName)
@@ -192,7 +199,7 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint
 
 	bp := fp.entry
 	for {
-		if kern := bp.kernel; kern != nil && !sampling {
+		if kern := bp.kernel; kern != nil && !m.noKernels {
 			bp = kern(m, fr)
 			continue
 		}
@@ -215,7 +222,7 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint
 				// must attribute the previous block's cycles to the
 				// block (and frame) that accumulated them.
 				m.flushPending()
-				core.FlushEvents()
+				core.FlushEdge()
 				core.SetPC(cb.pc)
 			}
 			fr.curPC = cb.pc
@@ -242,9 +249,10 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint
 		bp = next
 	}
 
-	// Deliver batched deltas before control leaves the frame, so
-	// callers (and post-run counter reads) see settled values.
-	core.FlushEvents()
+	// Deliver batched deltas before control leaves the frame. A sampled
+	// exit is one more block edge, whose delivery may wait until an
+	// overflow can fire; Run flushes unconditionally when it returns.
+	core.FlushEdge()
 	m.frames = m.frames[:len(m.frames)-1]
 	m.stackTop = fr.stackSave
 	m.framePools[fp.index] = append(m.framePools[fp.index], fr)
