@@ -1,8 +1,10 @@
-# Developer entry points; CI runs build/test/bench-smoke.
+# Developer entry points. CI's test job runs vet, gofmt -l, build,
+# test, fuzz, the bench module's vet and test, and bench-smoke; its
+# race job runs race.
 
 GO ?= go
 
-.PHONY: build test bench-smoke vet bench-pairs
+.PHONY: build test bench-smoke vet race fuzz bench-pairs
 
 build:
 	$(GO) build ./...
@@ -12,6 +14,16 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# race runs CI's race-detector package list: the packages that share
+# one compiled program across goroutines, plus the machine's charge
+# loops.
+race:
+	$(GO) test -race ./internal/vm/... ./internal/machine/... ./internal/roofline/... ./pkg/mperf/... ./pkg/mperfd/...
+
+# fuzz is CI's smoke of the IR parser, which reads artifact module text.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/ir/
 
 # bench-smoke runs every benchmark exactly once so they cannot bit-rot;
 # it is part of CI and takes a few seconds.

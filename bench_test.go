@@ -623,9 +623,10 @@ func BenchmarkSuperblockTriad(b *testing.B) {
 	benchmarkSuperblock(b, "i5", "triad", mperf.WithElems(1<<16))
 }
 
-// BenchmarkSuperblockSqlite covers the branchy non-kernel case: the
-// sqlite bytecode interpreter fuses regions but matches no specialized
-// loop kernels, so this pins the generic superblock path's cost.
+// BenchmarkSuperblockSqlite covers the branchy case: the sqlite
+// bytecode interpreter's dispatch runs through the generic block loop,
+// so this pins that path's cost. Its inner loops do match kernels: one
+// run of 399,536 steps enters 1440 loop kernels for 23,040 iterations.
 func BenchmarkSuperblockSqlite(b *testing.B) {
 	benchmarkSuperblock(b, "x60", "sqlite",
 		mperf.WithSqliteConfig(workloads.SqliteConfig{

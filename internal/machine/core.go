@@ -44,9 +44,9 @@ type EventSink interface {
 	// bitmask indexed by isa.Signal. The sink must not rely on seeing one
 	// batch per uop or per block: unless a sampler is armed while a count
 	// signal is watched (see SamplingSink), FlushEvents delivers the
-	// deltas summed over a whole region or block, and under a time-only
-	// sampler FlushEdge sums the blocks between deliveries that can fire
-	// an overflow. Signals outside the mask, and the signals with no
+	// deltas summed over every block charged since the previous delivery,
+	// and under a time-only sampler FlushEdge sums the blocks between
+	// deliveries that can fire an overflow. Signals outside the mask, and the signals with no
 	// Stats counter (fp_ops, vec_fp_ops, l1i_*), are never delivered.
 	// Statistics and timing are unaffected either way.
 	WatchMask() uint64

@@ -10,12 +10,13 @@ import (
 // This file implements program artifact serialization: the stable
 // parts of a compiled Program — the frozen module, as the printed IR
 // text that cmd/mpc reads too, and the baked Seed data image —
-// flattened into bytes and back. Exec funcs and superblock templates
-// are Go closures and cannot travel; DecodeArtifact parses the module
-// and re-plans them, which is cheap next to a cold pipeline compile
-// (no workload build, no vectorizer pipeline, no Seed execution, and —
-// because callers guard artifacts with an integrity checksum and the
-// encoder only ever sees verified modules — no re-verification).
+// flattened into bytes and back. Exec funcs, charge templates and
+// loop kernels are plan products and do not travel; DecodeArtifact
+// parses the module and re-plans them, which is cheap next to a cold
+// pipeline compile (no workload build, no vectorizer pipeline, no Seed
+// execution, and — because callers guard artifacts with an integrity
+// checksum and the encoder only ever sees verified modules — no
+// re-verification).
 //
 // The payload is versioned independently of the codegen scheme: the
 // codegen tag lives in the caller's cache key (a plan change makes old
@@ -45,7 +46,7 @@ func EncodeArtifact(p *Program) ([]byte, error) {
 }
 
 // DecodeArtifact reconstructs a Program from EncodeArtifact bytes:
-// the module text is parsed and re-planned (exec funcs, superblock
+// the module text is parsed and re-planned (exec funcs, block charge
 // templates and loop kernels are re-bound), and the data image is
 // reinstalled. The input must be integrity-checked by the caller; any
 // structural mismatch is returned as an error, never a panic.

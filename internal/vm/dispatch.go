@@ -524,8 +524,9 @@ func execCall(m *Machine, fr *frame, st *step) *blockPlan {
 		}
 	}
 	// The callee moved the architectural PC; restore it to this block
-	// so the remaining uops (and samples) attribute to the caller.
-	m.hart.Core.SetPC(st.blockPC)
+	// (fr.curPC, set at every block entry) so the remaining uops (and
+	// samples) attribute to the caller.
+	m.hart.Core.SetPC(fr.curPC)
 	return nil
 }
 

@@ -25,10 +25,10 @@ import (
 // generic executor's loadScalar/storeScalar, bounds checks and trap
 // text included.
 //
-// A kernel is an optimization of the generic region executor only: it
+// A kernel is an optimization of the generic block executor only: it
 // performs exactly the same semantic effects in the same order (body,
-// then the back-edge phi parallel copy) and charges exactly the same
-// region template per iteration, so profiles are bit-identical — the
+// then the back-edge phi parallel copy) and charges exactly the block's
+// charge template per iteration, so profiles are bit-identical — the
 // golden corpus covers workloads whose hot loops run through these
 // kernels, and TestKernelMatchesGenericExecutor compares a kernel with
 // the generic executor directly, trapping runs included, with and

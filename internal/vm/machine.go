@@ -142,8 +142,8 @@ type Machine struct {
 	// flattened vector lanes) before any destination is written.
 	phiScratch []uint64
 
-	// Superblock execution state (superblock.go): the current region's
-	// deferred charges. pendTmpl is the region's charge template,
+	// Block execution state (superblock.go): the current block's
+	// deferred charges. pendTmpl is the block's charge template,
 	// pendDyn the recorded dynamic operands (parallel to pendTmpl),
 	// [pendFrom, pendFrom+pendN) the not-yet-flushed window, pendSalt
 	// the owning frame's scoreboard salt.
@@ -419,7 +419,7 @@ func (m *Machine) run(name string, args []uint64) (result uint64, err error) {
 }
 
 // call executes one function activation: runtime intrinsics directly,
-// everything else through the region loop (callFused). vargs holds the
+// everything else through the block loop (callFused). vargs holds the
 // vector arguments by argument position; scalar positions are unused.
 func (m *Machine) call(fp *funcPlan, args []uint64, vargs [][]uint64) (uint64, []uint64) {
 	if fp.intrinsic != "" {
@@ -502,9 +502,9 @@ func (m *Machine) checkVector(ty ir.Type) {
 }
 
 // emit records one micro-op's dynamic operands for the current
-// region; the static remainder lives in the region's charge template,
-// and the whole region is charged in one ExecRegion call at the next
-// flush point.
+// block; the static remainder lives in the block's charge template,
+// and the block is charged in one ExecRegion call at the next flush
+// point.
 func (m *Machine) emit(addr uint64, taken bool, target uint64) {
 	d := &m.pendDyn[m.pendFrom+m.pendN]
 	d.Addr, d.Taken, d.Target = addr, taken, target

@@ -37,30 +37,19 @@ var retMarker = &blockPlan{}
 
 // step is one pre-decoded instruction.
 type step struct {
-	in   *ir.Instr
-	dst  int32 // destination register, -1 for none
-	args []operand
+	in  *ir.Instr
+	dst int32 // destination register, -1 for none
+	// blockIdx is the owning block's index: the phi-predecessor index a
+	// terminator hands to phiMoves (plan-time constant, so a stale edge
+	// is impossible).
+	blockIdx int32
+	args     []operand
 
 	// exec is the threaded-dispatch executor: op, operand kinds and
 	// width masks are resolved once at plan time, so the interpreter
 	// loop is a single indirect call per instruction with no opcode
 	// switch on the hot path.
 	exec execFn
-
-	// proto is the pre-computed micro-op template: class, access size,
-	// branch id and retired-work counts are plan-time constants, which
-	// buildRegions copies into the block's charge template.
-	proto machine.Uop
-	// srcRegs holds the first three operand registers (-1 when absent),
-	// the template's source registers.
-	srcRegs [3]int32
-
-	// blockIdx/blockPC identify the owning block: blockIdx is the
-	// phi-predecessor index a terminator hands to phiMoves (plan-time
-	// constant, so a stale edge is impossible), blockPC restores the
-	// architectural PC after a call returns mid-block.
-	blockIdx int32
-	blockPC  uint64
 
 	// Pre-resolved call plan (nil for intrinsics).
 	callee *funcPlan
@@ -93,14 +82,11 @@ type blockPlan struct {
 	// pc is the synthetic address of this block for sampling.
 	pc uint64
 
-	// Superblock execution (superblock.go): tmpl is the block's
-	// immutable charge template (uops carrying raw register ids,
-	// salted into scoreboard slots at charge time); chain is the
-	// maximal single-predecessor chain headed by this block; chainTmpl
-	// concatenates the chain's templates into one region template.
-	tmpl      []machine.Uop
-	chain     []*blockPlan
-	chainTmpl []machine.Uop
+	// tmpl is the block's immutable charge template, one uop per step
+	// (raw register ids, salted into scoreboard slots at charge time):
+	// the block is the region superblock.go charges through one
+	// ExecRegion call.
+	tmpl []machine.Uop
 	// kernel, when non-nil, is a specialized native executor for this
 	// block's recognized loop shape.
 	kernel loopKernel
@@ -161,14 +147,6 @@ func (p *planner) planModule(mod *ir.Module) error {
 			return fmt.Errorf("vm: @%s: %w", f.FName, err)
 		}
 	}
-	for _, f := range mod.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
-		}
-		fp := p.plans[f]
-		buildRegions(fp)
-		matchKernels(fp)
-	}
 	return nil
 }
 
@@ -176,7 +154,8 @@ func isIntrinsic(name string) bool {
 	return len(name) > 6 && name[:6] == "mperf."
 }
 
-// planFunc assigns register ids and pre-decodes every block.
+// planFunc assigns register ids, pre-decodes every block with its
+// charge template, and installs the function's loop kernels.
 func (p *planner) planFunc(f *ir.Func) error {
 	fp := p.plans[f]
 
@@ -248,7 +227,7 @@ func (p *planner) planFunc(f *ir.Func) error {
 				}
 				continue
 			}
-			st := step{in: in, dst: -1, blockIdx: int32(bi), blockPC: bp.pc}
+			st := step{in: in, dst: -1, blockIdx: int32(bi)}
 			if in.Ty != ir.Void {
 				st.dst = regs[in]
 			}
@@ -269,21 +248,24 @@ func (p *planner) planFunc(f *ir.Func) error {
 				}
 				st.callee = cp
 			}
-			p.fillUopTemplate(&st)
 			st.exec = buildExec(in)
 			bp.steps = append(bp.steps, st)
+			bp.tmpl = append(bp.tmpl, p.uopTemplate(&st))
 		}
 	}
+	matchKernels(fp)
 	return nil
 }
 
-// fillUopTemplate pre-computes the machine-level classification of a
-// step: op class, retired-work counts, lanes, access size, branch id.
-func (p *planner) fillUopTemplate(st *step) {
+// uopTemplate pre-computes a step's charge-template uop: op class,
+// retired-work counts, lanes, access size, branch id, and the raw
+// destination and first three source registers (-1 when absent or
+// immediate).
+func (p *planner) uopTemplate(st *step) machine.Uop {
 	in := st.in
-	st.srcRegs = [3]int32{-1, -1, -1}
+	src := [3]int32{-1, -1, -1}
 	for i := 0; i < len(st.args) && i < 3; i++ {
-		st.srcRegs[i] = st.args[i].reg
+		src[i] = st.args[i].reg
 	}
 	lanes := 1
 	if in.Ty.IsVector() {
@@ -371,9 +353,9 @@ func (p *planner) fillUopTemplate(st *step) {
 			class = machine.OpVecALU
 		}
 	}
-	st.proto = machine.Uop{
+	return machine.Uop{
 		Class: class,
-		Dst:   -1, Src1: -1, Src2: -1, Src3: -1,
+		Dst:   st.dst, Src1: src[0], Src2: src[1], Src3: src[2],
 		Size: size, BrID: brID,
 		Flops: flops, IntOps: intops, Lanes: ulanes,
 	}

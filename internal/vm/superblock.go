@@ -3,23 +3,20 @@ package vm
 import (
 	"sync/atomic"
 
-	"mperf/internal/ir"
 	"mperf/internal/machine"
 )
 
-// This file implements superblock execution, the interpreter's only
-// activation loop: straight-line regions — basic blocks and
-// single-predecessor chains of unconditionally linked blocks — are
-// fused at plan time into immutable charge templates, and the dispatch
-// loop charges each region through one machine.Core.ExecRegion call.
-// Instruction semantics run through the pre-bound step executors; emit
-// records each uop's dynamic operands (address, branch outcome,
-// indirect target) into a pending buffer that is flushed at region
-// exits, before calls and intrinsics (whose runtimes read the cycle
-// clock), at returns, and on traps — so the core sees the uops in
-// program order.
+// This file implements block-at-a-time execution, the interpreter's
+// only activation loop: every basic block carries an immutable charge
+// template built at plan time, and the dispatch loop charges each block
+// through one machine.Core.ExecRegion call. Instruction semantics run
+// through the pre-bound step executors; emit records each uop's dynamic
+// operands (address, branch outcome, indirect target) into a pending
+// buffer that is flushed at block exits, before calls and intrinsics
+// (whose runtimes read the cycle clock), at returns, and on traps — so
+// the core sees the uops in program order.
 //
-// While an overflow sampler is armed, the loop also charges and calls
+// While an overflow sampler is armed, the loop also calls
 // machine.Core.FlushEdge at every block edge and moves the core's PC
 // there, so samples attribute to block PCs. FlushEdge delivers only
 // when the cycles or instret pending since the last delivery could
@@ -68,84 +65,12 @@ func (m *Machine) FlushExecStats() {
 	m.kernelHits, m.kernelIters = 0, 0
 }
 
-// buildRegions fuses a planned function's blocks into superblocks:
-// every block gets an immutable charge template (raw register ids;
-// salted into scoreboard slots at charge time), and every block heads
-// a maximal chain through unconditional branches into
-// single-predecessor successors — a straight-line region with no side
-// entries, charged as one unit.
-func buildRegions(fp *funcPlan) {
-	for _, bp := range fp.blocks {
-		bp.tmpl = make([]machine.Uop, len(bp.steps))
-		for i := range bp.steps {
-			st := &bp.steps[i]
-			u := st.proto
-			u.Dst = st.dst
-			u.Src1, u.Src2, u.Src3 = st.srcRegs[0], st.srcRegs[1], st.srcRegs[2]
-			bp.tmpl[i] = u
-		}
-	}
-
-	preds := make([]int, len(fp.blocks))
-	preds[fp.entry.index]++ // the function-entry edge
-	for _, bp := range fp.blocks {
-		term := &bp.steps[len(bp.steps)-1]
-		for _, tgt := range term.targets {
-			preds[tgt.index]++
-		}
-	}
-
-	for _, bp := range fp.blocks {
-		chain := []*blockPlan{bp}
-		cur := bp
-		for {
-			term := &cur.steps[len(cur.steps)-1]
-			if term.in.Op != ir.OpBr {
-				break
-			}
-			nxt := term.targets[0]
-			if nxt == cur || nxt == fp.entry || preds[nxt.index] != 1 {
-				break
-			}
-			// Guard against cycles of dead single-predecessor blocks.
-			if chainContains(chain, nxt) {
-				break
-			}
-			chain = append(chain, nxt)
-			cur = nxt
-		}
-		bp.chain = chain
-		if len(chain) == 1 {
-			bp.chainTmpl = bp.tmpl
-			continue
-		}
-		n := 0
-		for _, cb := range chain {
-			n += len(cb.tmpl)
-		}
-		ct := make([]machine.Uop, 0, n)
-		for _, cb := range chain {
-			ct = append(ct, cb.tmpl...)
-		}
-		bp.chainTmpl = ct
-	}
-}
-
-func chainContains(chain []*blockPlan, bp *blockPlan) bool {
-	for _, cb := range chain {
-		if cb == bp {
-			return true
-		}
-	}
-	return false
-}
-
-// flushPending charges the deferred uops of the current region through
+// flushPending charges the deferred uops of the current block through
 // the core in one call and advances the flush cursor. It is called at
-// region exits, before calls (so callee-side clock reads and charges
-// follow the caller's in program order), per block while sampling, and
-// from Run's trap recovery (the pending prefix is exactly the uops that
-// completed before the trap). A functional run only advances the cursor.
+// block exits, before calls (so callee-side clock reads and charges
+// follow the caller's in program order), and from Run's trap recovery
+// (the pending prefix is exactly the uops that completed before the
+// trap). A functional run only advances the cursor.
 func (m *Machine) flushPending() {
 	if m.pendN == 0 {
 		return
@@ -157,16 +82,16 @@ func (m *Machine) flushPending() {
 	m.pendFrom, m.pendN = n, 0
 }
 
-// callFused executes one activation region-at-a-time, with charges
+// callFused executes one activation block-at-a-time, with charges
 // deferred into the pending buffers and batched through one ExecRegion
-// call per region. Without an armed sampler, event delivery is pure
+// call per block. Without an armed sampler, event delivery is pure
 // accumulation, so events are flushed only when control leaves the
 // frame. With one (the state only changes between runs, so it is read
-// once per activation), every block edge charges the pending uops,
-// calls FlushEdge and moves the core's PC: a sample must attribute the
-// cycles before the edge to the block that spent them. Loop kernels
-// make the same edge calls per iteration. Per-block step budgeting is
-// the same either way.
+// once per activation), every block edge calls FlushEdge and moves the
+// core's PC; the previous block was charged at its own exit, so a
+// sample attributes the cycles before the edge to the block that spent
+// them. Loop kernels make the same edge calls per iteration. Per-block
+// step budgeting is the same either way.
 func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint64, []uint64) {
 	if len(m.frames) >= maxCallDepth {
 		trapf("call depth exceeded in @%s", fp.fn.FName)
@@ -203,44 +128,30 @@ func (m *Machine) callFused(fp *funcPlan, args []uint64, vargs [][]uint64) (uint
 			bp = kern(m, fr)
 			continue
 		}
-		chain := bp.chain
-		if len(m.pendDyn) < len(bp.chainTmpl) {
-			m.pendDyn = make([]machine.RegionDyn, len(bp.chainTmpl)+64)
+		m.steps += uint64(len(bp.steps))
+		if m.steps > m.MaxSteps {
+			trapf("step budget exceeded (%d)", m.MaxSteps)
 		}
-		m.pendTmpl = bp.chainTmpl
-		m.pendFrom, m.pendN = 0, 0
-		m.pendSalt = fr.salt
+		if sampling {
+			core.FlushEdge()
+			core.SetPC(bp.pc)
+		}
+		fr.curPC = bp.pc
+		if len(m.pendDyn) < len(bp.tmpl) {
+			m.pendDyn = make([]machine.RegionDyn, len(bp.tmpl)+64)
+		}
+		m.pendTmpl, m.pendFrom, m.pendN, m.pendSalt = bp.tmpl, 0, 0, fr.salt
 
 		var next *blockPlan
-		for _, cb := range chain {
-			m.steps += uint64(len(cb.steps))
-			if m.steps > m.MaxSteps {
-				trapf("step budget exceeded (%d)", m.MaxSteps)
-			}
-			if sampling {
-				// Flush BEFORE moving the PC: samples fired by the flush
-				// must attribute the previous block's cycles to the
-				// block (and frame) that accumulated them.
-				m.flushPending()
-				core.FlushEdge()
-				core.SetPC(cb.pc)
-			}
-			fr.curPC = cb.pc
-
-			steps := cb.steps
-			next = nil
-			for i := range steps {
-				st := &steps[i]
-				if next = st.exec(m, fr, st); next != nil {
-					break
-				}
-			}
-			if next == nil {
-				trapf("block %s fell through without terminator", cb.block.BName)
-			}
-			if next == retMarker {
+		steps := bp.steps
+		for i := range steps {
+			st := &steps[i]
+			if next = st.exec(m, fr, st); next != nil {
 				break
 			}
+		}
+		if next == nil {
+			trapf("block %s fell through without terminator", bp.block.BName)
 		}
 		m.flushPending()
 		if next == retMarker {

@@ -176,27 +176,102 @@ func TestExecStatsCoverage(t *testing.T) {
 	}
 }
 
-// TestKernelCoverage pins that the specialized loop kernels actually
-// engage on the streaming and matmul workloads — their hot self-loops
-// are exactly the shapes the matcher exists for, so a silent decline
-// (vocabulary drift, phi-copy hazard) fails loudly here rather than
-// showing up only as a benchmark regression.
+// kernelCoverage is one catalog key's pinned ExecStats: loop-kernel
+// entries, kernel iterations and interpreted steps.
+type kernelCoverage struct{ hits, iters, steps uint64 }
+
+// statCoverage pins a stat run's ExecStats per "platform workload" at
+// catalogSessionOn sizing (the U74 counts the four events its two
+// programmable counters allow). Stat runs the unvectorized build, so
+// the platforms agree; the roofline keys below cover vectorized
+// builds. The numbers were recorded at commit 5335099, before charge
+// templates were built while planning.
+var statCoverage = map[string]kernelCoverage{
+	"c910 dot":          {1, 4096, 32770},
+	"c910 gather":       {1, 4096, 36866},
+	"c910 matmul":       {1728, 13824, 167165},
+	"c910 memset":       {1, 4096, 20482},
+	"c910 ptrchase":     {1, 4096, 20482},
+	"c910 scatter":      {1, 4096, 36866},
+	"c910 spmv":         {4096, 32768, 380930},
+	"c910 sqlite":       {64, 1024, 15792},
+	"c910 stencil":      {0, 0, 65506},
+	"c910 stream_add":   {0, 0, 40962},
+	"c910 stream_copy":  {1, 4096, 28674},
+	"c910 stream_scale": {0, 0, 32770},
+	"c910 triad":        {1, 4096, 40962},
+	"i5 dot":            {1, 4096, 32770},
+	"i5 gather":         {1, 4096, 36866},
+	"i5 matmul":         {1728, 13824, 167165},
+	"i5 memset":         {1, 4096, 20482},
+	"i5 ptrchase":       {1, 4096, 20482},
+	"i5 scatter":        {1, 4096, 36866},
+	"i5 spmv":           {4096, 32768, 380930},
+	"i5 sqlite":         {64, 1024, 15792},
+	"i5 stencil":        {0, 0, 65506},
+	"i5 stream_add":     {0, 0, 40962},
+	"i5 stream_copy":    {1, 4096, 28674},
+	"i5 stream_scale":   {0, 0, 32770},
+	"i5 triad":          {1, 4096, 40962},
+	"u74 dot":           {1, 4096, 32770},
+	"u74 gather":        {1, 4096, 36866},
+	"u74 matmul":        {1728, 13824, 167165},
+	"u74 memset":        {1, 4096, 20482},
+	"u74 ptrchase":      {1, 4096, 20482},
+	"u74 scatter":       {1, 4096, 36866},
+	"u74 spmv":          {4096, 32768, 380930},
+	"u74 sqlite":        {64, 1024, 15792},
+	"u74 stencil":       {0, 0, 65506},
+	"u74 stream_add":    {0, 0, 40962},
+	"u74 stream_copy":   {1, 4096, 28674},
+	"u74 stream_scale":  {0, 0, 32770},
+	"u74 triad":         {1, 4096, 40962},
+	"x60 dot":           {1, 4096, 32770},
+	"x60 gather":        {1, 4096, 36866},
+	"x60 matmul":        {1728, 13824, 167165},
+	"x60 memset":        {1, 4096, 20482},
+	"x60 ptrchase":      {1, 4096, 20482},
+	"x60 scatter":       {1, 4096, 36866},
+	"x60 spmv":          {4096, 32768, 380930},
+	"x60 sqlite":        {64, 1024, 15792},
+	"x60 stencil":       {0, 0, 65506},
+	"x60 stream_add":    {0, 0, 40962},
+	"x60 stream_copy":   {1, 4096, 28674},
+	"x60 stream_scale":  {0, 0, 32770},
+	"x60 triad":         {1, 4096, 40962},
+}
+
+// TestKernelCoverage pins that the specialized loop kernels engage
+// where they did when the numbers were recorded, for every catalog
+// workload on every corpus platform. A kernel that stops matching
+// (vocabulary drift, phi-copy hazard) leaves every profile digest
+// intact, so it fails loudly here rather than showing up only as a
+// benchmark regression.
 func TestKernelCoverage(t *testing.T) {
-	for _, name := range []string{"triad", "memset", "matmul"} {
+	if want := len(corpusPlatforms) * len(workloads.Names()); len(statCoverage) != want {
+		t.Errorf("%d coverage lines, want one per platform and workload (%d)", len(statCoverage), want)
+	}
+	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
-			var st mperf.ExecStats
-			sess := catalogSession(t, name,
-				mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st))
-			prof, err := sess.Run(mperf.MustCollectors("stat")...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := prof.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if hits, iters := st.KernelHits.Load(), st.KernelIters.Load(); hits == 0 || iters == 0 {
-				t.Errorf("specialized kernels never engaged: hits=%d iters=%d (steps=%d)",
-					hits, iters, st.TotalSteps.Load())
+			for _, plat := range corpusPlatforms {
+				var st mperf.ExecStats
+				opts := []mperf.Option{mperf.WithProgramCache(mperf.NewProgramCache()), mperf.WithExecStats(&st)}
+				if plat == "u74" {
+					opts = append(opts, mperf.WithStatEvents("cycles", "instructions", "branches", "branch-misses"))
+				}
+				prof, err := catalogSessionOn(t, plat, name, opts...).Run(mperf.MustCollectors("stat")...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := prof.Err(); err != nil {
+					t.Fatalf("%s: %v", plat, err)
+				}
+				got := kernelCoverage{st.KernelHits.Load(), st.KernelIters.Load(), st.TotalSteps.Load()}
+				if want := statCoverage[plat+" "+name]; got != want {
+					t.Errorf("%s: kernel hits=%d iters=%d steps=%d, want %d/%d/%d\n\t%q: {%d, %d, %d},",
+						plat, got.hits, got.iters, got.steps, want.hits, want.iters, want.steps,
+						plat+" "+name, got.hits, got.iters, got.steps)
+				}
 			}
 		})
 	}
