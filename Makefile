@@ -21,9 +21,11 @@ vet:
 race:
 	$(GO) test -race ./internal/vm/... ./internal/machine/... ./internal/roofline/... ./pkg/mperf/... ./pkg/mperfd/...
 
-# fuzz is CI's smoke of the IR parser, which reads artifact module text.
+# fuzz is CI's smoke of the two decoders of artifact bytes: the IR
+# parser, which reads the module text, and the artifact envelope.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/ir/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeArtifact -fuzztime 10s ./internal/vm/
 
 # bench-smoke runs every benchmark exactly once so they cannot bit-rot;
 # it is part of CI and takes a few seconds.

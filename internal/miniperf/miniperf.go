@@ -16,6 +16,7 @@ import (
 	"mperf/internal/kernel"
 	"mperf/internal/platform"
 	"mperf/internal/pmu"
+	"mperf/internal/sbi"
 	"mperf/internal/vm"
 )
 
@@ -119,6 +120,19 @@ func (t *Tool) Stat(events []isa.EventCode, run func() error) (*StatResult, erro
 		return res, fmt.Errorf("miniperf: workload failed: %w", runErr)
 	}
 	return res, nil
+}
+
+// CanCount reports whether one Stat on platform p can count every
+// event at once: it allocates them counters in order, as Stat's
+// perf_event_open calls do, on a fresh PMU of p's spec.
+func CanCount(p *platform.Platform, events []isa.EventCode) bool {
+	fw := sbi.New(pmu.New(p.PMUSpec))
+	for _, ev := range events {
+		if _, errno := fw.CounterConfigMatching(^uint64(0), ev, sbi.CfgClearValue); errno != sbi.OK {
+			return false
+		}
+	}
+	return true
 }
 
 // RecordOptions configures a sampling session.

@@ -21,6 +21,7 @@ package tma
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mperf/internal/isa"
@@ -114,11 +115,21 @@ func Measure(m *vm.Machine, run func() error) (*Breakdown, error) {
 	if err != nil {
 		return nil, err
 	}
+	return FromValues(p, res.Values)
+}
+
+// Events returns the level-1 event set that Measure counts.
+func Events() []isa.EventCode { return slices.Clone(requiredEvents) }
+
+// FromValues computes the breakdown from the values of a stat run
+// that counted Events (and possibly more), keyed by event label, with
+// the platform's issue width and mispredict penalty as the slot model.
+func FromValues(p *platform.Platform, values map[string]uint64) (*Breakdown, error) {
 	return FromCounts(
-		res.Values["cycles"],
-		res.Values["instructions"],
-		res.Values["branch-misses"],
-		res.Values["stalled-cycles"],
+		values["cycles"],
+		values["instructions"],
+		values["branch-misses"],
+		values["stalled-cycles"],
 		p.Core.IssueWidth,
 		p.Core.MispredictPenalty,
 	)

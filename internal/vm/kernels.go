@@ -10,13 +10,13 @@ import (
 // This file implements template specialization for the dominant inner
 // loops of the catalog kernels: self-loop blocks whose bodies are
 // built entirely from a small micro-op vocabulary (strided loads and
-// stores, splats, f32 FMAs, i64 induction arithmetic, a trailing
-// conditional branch) are compiled at plan time into loop recipes, and
+// stores, splats, f32 FMAs, float add/sub/mul/div, i64 induction
+// arithmetic, a trailing conditional branch) are compiled at plan time into loop recipes, and
 // a recipe executes as a hand-written Go loop — no step closures, no
 // per-uop emit — that fills the block's dynamic operands and charges
 // one region per iteration through ExecRegion. The vocabulary covers
 // the matmul k-loops (scalar and vectorized), the streaming
-// triad/memset loops, and anything else of that shape.
+// triad/memset/scale/add loops, and anything else of that shape.
 //
 // Operand forms are resolved at plan time: every operand is a register
 // id (an immediate gets a constant slot past the function's registers,
@@ -49,6 +49,8 @@ const (
 	kSplat                 // dst[lanes] = broadcast a
 	kFMA                   // dst = f32(a*b + c), float64 intermediate
 	kVecFMA                // lane-wise kFMA over vector regs a, b, c
+	kFP                    // dst = fp(a, b): fadd, fsub, fmul or fdiv
+	kVecFP                 // lane-wise kFP over vector regs a, b
 	kAdd                   // dst = a + b (i64)
 	kMul                   // dst = a * b (i64)
 	kICmp                  // dst = pred(a, b) (signed i64)
@@ -72,6 +74,7 @@ type kOp struct {
 	cnt     [4]int64 // mperf.count constant block costs
 	elem    ir.Type  // load/store element type
 	elemSz  uint64
+	fp      func(a, b uint64) uint64 // kFP/kVecFP arithmetic (fpKernel)
 }
 
 // kMove is one back-edge phi parallel-copy assignment; src is a
@@ -242,6 +245,22 @@ func matchLoopRecipe(bp *blockPlan, base int32) *loopRecipe {
 				addVecTy(in.Ty)
 			} else {
 				op.kind = kFMA
+			}
+		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
+			if !regs(st, &op.a, &op.b) {
+				return nil
+			}
+			// The generic executor's fpKernel, so results are the same bits.
+			op.fp = fpKernel(in.Op, in.Ty.Elem())
+			if in.Ty.IsVector() {
+				if !st.args[0].isVec || !st.args[1].isVec {
+					return nil
+				}
+				op.kind = kVecFP
+				op.lanes = int32(in.Ty.Lanes)
+				addVecTy(in.Ty)
+			} else {
+				op.kind = kFP
 			}
 		case ir.OpAdd, ir.OpMul:
 			if in.Ty.Kind != ir.KI64 || !regs(st, &op.a, &op.b) {
@@ -445,6 +464,15 @@ func makeLoopKernel(bp *blockPlan, rec *loopRecipe) loopKernel {
 					out := fr.vregDst(op.dst, int(op.lanes))
 					for l := range out {
 						out[l] = fma32(va[l], vb[l], vc[l])
+					}
+				case kFP:
+					regs[op.dst] = op.fp(regs[op.a], regs[op.b])
+				case kVecFP:
+					m.pendN = i
+					va, vb := kvec(fr, op.a), kvec(fr, op.b)
+					out := fr.vregDst(op.dst, int(op.lanes))
+					for l := range out {
+						out[l] = op.fp(va[l], vb[l])
 					}
 				case kAdd:
 					regs[op.dst] = regs[op.a] + regs[op.b]

@@ -217,153 +217,273 @@ func armSampler(t *testing.T, m *Machine, period uint64) func() ([]kernel.Sample
 	}
 }
 
-// TestKernelMatchesGenericExecutor runs a loop through its kernel and
-// again through the generic executor (kernels disabled), and requires
-// the same return value, memory image, dirty mark, runtime counts,
-// steps and core Stats. A step budget that runs out mid-loop, a missing
-// runtime, an out-of-bounds load or store and a vector type the
-// platform cannot run must each trap both paths at the same step with
-// the same message and the same charges. Under an armed PMU sampler,
-// the kernel with deferred edge delivery and the generic executor
-// delivering at every edge must also record the same samples.
+// streamLoopTrips is the trip count of buildStreamLoopModule's loop.
+const streamLoopTrips = 256
+
+// buildStreamLoopModule returns void @loop() in the shape of the
+// catalog's STREAM kernels over the f32 globals a, b and c, lanes
+// wide: a[i] = b[i] op c[i] (stream_add for fadd) or, with scale set,
+// a[i] = 3 op b[i] (stream_scale for fmul), the factor an immediate,
+// splatted for vectors.
+func buildStreamLoopModule(op ir.Op, lanes int, scale bool) *ir.Module {
+	mod := ir.NewModule("t")
+	n := streamLoopTrips * lanes
+	ga, gb, gc := mod.NewGlobal("a", ir.F32, n), mod.NewGlobal("b", ir.F32, n), mod.NewGlobal("c", ir.F32, n)
+	f := mod.NewFunc("loop", ir.Void)
+	b := ir.NewBuilder(f)
+	entry := b.NewBlock("entry")
+	loop := f.NewBlock("loop")
+	exit := f.NewBlock("exit")
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64)
+	ty, size := ir.F32, int64(4*lanes)
+	if lanes > 1 {
+		ty = ir.VecOf(ir.F32, lanes)
+	}
+	var x, y ir.Value = b.Load(ty, b.GEP(gb, i, size)), nil
+	if scale {
+		y = x
+		if x = ir.ConstFloat(ir.F32, 3); lanes > 1 {
+			x = b.Splat(x, lanes)
+		}
+	} else {
+		y = b.Load(ty, b.GEP(gc, i, size))
+	}
+	var r ir.Value
+	switch op {
+	case ir.OpFAdd:
+		r = b.FAdd(x, y)
+	case ir.OpFSub:
+		r = b.FSub(x, y)
+	case ir.OpFMul:
+		r = b.FMul(x, y)
+	default:
+		r = b.FDiv(x, y)
+	}
+	b.Store(r, b.GEP(ga, i, size))
+	inext := b.Add(i, ir.ConstInt(ir.I64, 1))
+	b.CondBr(b.ICmp(ir.PredLT, inext, ir.ConstInt(ir.I64, streamLoopTrips)), loop, exit)
+	ir.AddIncoming(i, ir.ConstInt(ir.I64, 0), entry)
+	ir.AddIncoming(i, inext, loop)
+	b.SetBlock(exit)
+	b.RetVoid()
+	return mod
+}
+
+// seedF32 fills the first elems f32 elements of each named global with
+// a pattern that has no zero, so a division stays finite.
+func seedF32(t *testing.T, m *Machine, elems uint64, globals ...string) {
+	t.Helper()
+	for _, g := range globals {
+		addr, err := m.GlobalAddr(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := uint64(0); j < elems; j++ {
+			if err := m.WriteF32(addr+4*j, float32(j%13)*0.75-2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// kernelCase is one loop program TestKernelMatchesGenericExecutor
+// runs both ways: mod's @loop, whose kernel runs trips iterations in a
+// whole run, with its globals filled by seed.
+type kernelCase struct {
+	name  string
+	mod   *ir.Module
+	trips uint64
+	count bool // @loop calls mperf.count, so it traps without a runtime
+	seed  func(t *testing.T, m *Machine)
+}
+
+func kernelCases() []kernelCase {
+	seedStream := func(lanes uint64) func(*testing.T, *Machine) {
+		return func(t *testing.T, m *Machine) { seedF32(t, m, streamLoopTrips*lanes, "b", "c") }
+	}
+	cases := []kernelCase{{
+		name: "operand-loop", mod: buildOperandLoopModule(), trips: operandLoopTrips, count: true,
+		seed: func(t *testing.T, m *Machine) {
+			ibuf, _ := m.GlobalAddr("ibuf")
+			for j := uint64(0); j < operandLoopTrips; j++ {
+				if err := m.WriteU64(ibuf+8*j, j*0x9e3779b97f4a7c15); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seedF32(t, m, operandLoopTrips, "fbuf")
+			seedF32(t, m, 8*operandLoopTrips, "vbuf")
+		},
+	}}
+	for _, lanes := range []int{1, 8} {
+		for _, sc := range []struct {
+			name  string
+			op    ir.Op
+			scale bool
+		}{
+			{"stream_add", ir.OpFAdd, false},
+			{"stream_scale", ir.OpFMul, true},
+			{"fsub", ir.OpFSub, false},
+			{"fdiv", ir.OpFDiv, true},
+		} {
+			cases = append(cases, kernelCase{
+				name: fmt.Sprintf("%s/lanes=%d", sc.name, lanes),
+				mod:  buildStreamLoopModule(sc.op, lanes, sc.scale), trips: streamLoopTrips,
+				seed: seedStream(uint64(lanes)),
+			})
+		}
+	}
+	return cases
+}
+
+// TestKernelMatchesGenericExecutor runs each kernel case's loop
+// through its kernel and again through the generic executor (kernels
+// disabled), and requires the same return value, memory image, dirty
+// mark, runtime counts, steps and core Stats. A step budget that runs
+// out mid-loop, a missing runtime, an out-of-bounds load or store and
+// a vector type the platform cannot run must each trap both paths at
+// the same step with the same message and the same charges. Under an
+// armed PMU sampler, the kernel with deferred edge delivery and the
+// generic executor delivering at every edge must also record the same
+// samples.
 func TestKernelMatchesGenericExecutor(t *testing.T) {
-	prog, err := Compile(buildOperandLoopModule())
-	if err != nil {
-		t.Fatal(err)
+	cases := kernelCases()
+	progs := make([]*Program, len(cases))
+	for i, kc := range cases {
+		prog, err := Compile(kc.mod)
+		if err != nil {
+			t.Fatalf("%s: %v", kc.name, err)
+		}
+		progs[i] = prog
 	}
 	for _, plat := range []*platform.Platform{platform.X60(), platform.I5_1135G7()} {
 		t.Run(plat.Name, func(t *testing.T) {
-			type outcome struct {
-				ret     uint64
-				err     error
-				m       *Machine
-				rt      *countRuntime
-				stats   machine.Stats
-				samples []kernel.SampleRecord
-				lost    uint64
-			}
-			// run executes @loop through its kernel or the generic
-			// executor; a non-zero period arms a sampler, and the
-			// generic run then delivers at every block edge.
-			run := func(useKernel bool, maxSteps uint64, withRuntime bool, period uint64) outcome {
-				m := NewMachine(prog, plat)
-				t.Cleanup(m.Release)
-				rt := new(countRuntime)
-				if withRuntime {
-					m.SetRuntime(rt)
-				}
-				m.noKernels = !useKernel
-				if !useKernel && period > 0 {
-					m.Hart().Core.SetSink(everyEdgeSink{m.Hart().PMU})
-				}
-				m.MaxSteps = maxSteps
-				ibuf, _ := m.GlobalAddr("ibuf")
-				for j := uint64(0); j < operandLoopTrips; j++ {
-					if err := m.WriteU64(ibuf+8*j, j*0x9e3779b97f4a7c15); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for g, elems := range map[string]uint64{"fbuf": operandLoopTrips, "vbuf": 8 * operandLoopTrips} {
-					addr, _ := m.GlobalAddr(g)
-					for j := uint64(0); j < elems; j++ {
-						if err := m.WriteF32(addr+4*j, float32(j%13)*0.75-2); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				var drain func() ([]kernel.SampleRecord, uint64)
-				if period > 0 {
-					drain = armSampler(t, m, period)
-				}
-				ret, err := m.Run("loop")
-				o := outcome{ret: ret, err: err, m: m, rt: rt, stats: m.Hart().Core.Stats()}
-				if drain != nil {
-					o.samples, o.lost = drain()
-				}
-				if useKernel && err == nil && m.kernelIters != operandLoopTrips {
-					t.Errorf("kernel ran %d iterations, want %d", m.kernelIters, operandLoopTrips)
-				}
-				if !useKernel && m.kernelHits != 0 {
-					t.Errorf("generic run entered %d kernels", m.kernelHits)
-				}
-				return o
-			}
-
-			kern, gen := run(true, defaultMaxStep, true, 0), run(false, defaultMaxStep, true, 0)
-			if kern.err != nil || gen.err != nil {
-				t.Fatalf("kernel run: %v, generic run: %v", kern.err, gen.err)
-			}
-			if kern.ret != gen.ret {
-				t.Errorf("kernel returned %#x, generic %#x", kern.ret, gen.ret)
-			}
-			if !bytes.Equal(kern.m.mem, gen.m.mem) {
-				t.Error("kernel left a different memory image")
-			}
-			if kern.m.dirtyHigh != gen.m.dirtyHigh {
-				t.Errorf("dirty high-water mark: kernel %#x, generic %#x", kern.m.dirtyHigh, gen.m.dirtyHigh)
-			}
-			if *kern.rt != *gen.rt || kern.rt.calls != operandLoopTrips {
-				t.Errorf("mperf.count: kernel %+v, generic %+v", *kern.rt, *gen.rt)
-			}
-			if kern.stats != gen.stats {
-				t.Errorf("Stats differ:\nkernel  %+v\ngeneric %+v", kern.stats, gen.stats)
-			}
-			if kern.m.Steps() != gen.m.Steps() {
-				t.Errorf("steps: kernel %d, generic %d", kern.m.Steps(), gen.m.Steps())
-			}
-
-			// A step budget that runs out mid-loop traps at the same step
-			// with the same charges.
-			budget := gen.m.Steps() / 2
-			kern, gen = run(true, budget, true, 0), run(false, budget, true, 0)
-			if kern.err == nil || !strings.Contains(kern.err.Error(), "step budget") {
-				t.Fatalf("kernel run under a step budget: %v", kern.err)
-			}
-			if kern.err.Error() != gen.err.Error() || kern.m.Steps() != gen.m.Steps() {
-				t.Errorf("budget trap: kernel at step %d (%v), generic at %d (%v)",
-					kern.m.Steps(), kern.err, gen.m.Steps(), gen.err)
-			}
-			if kern.stats != gen.stats {
-				t.Errorf("budget trap Stats differ:\nkernel  %+v\ngeneric %+v", kern.stats, gen.stats)
-			}
-
-			// Without a runtime, mperf.count traps in the first
-			// iteration, after the call uop is charged.
-			kern, gen = run(true, defaultMaxStep, false, 0), run(false, defaultMaxStep, false, 0)
-			if kern.err == nil || !strings.Contains(kern.err.Error(), "no runtime installed") {
-				t.Fatalf("kernel run without a runtime: %v", kern.err)
-			}
-			if kern.err.Error() != gen.err.Error() || kern.stats != gen.stats {
-				t.Errorf("runtime trap: kernel %v %+v\ngeneric %v %+v", kern.err, kern.stats, gen.err, gen.stats)
-			}
-
-			// Under an armed sampler, whole and cut short by the step
-			// budget, at a period below one iteration's cycles and at
-			// one spanning several.
-			for _, period := range []uint64{7, 97} {
-				for _, budget := range []uint64{defaultMaxStep, budget} {
-					kern, gen = run(true, budget, true, period), run(false, budget, true, period)
-					label := fmt.Sprintf("period %d, budget %d", period, budget)
-					if fmt.Sprint(kern.err) != fmt.Sprint(gen.err) || kern.ret != gen.ret || kern.stats != gen.stats {
-						t.Errorf("%s: kernel %v %#x %+v\ngeneric %v %#x %+v", label,
-							kern.err, kern.ret, kern.stats, gen.err, gen.ret, gen.stats)
-					}
-					if kern.m.kernelHits == 0 && kern.m.kernelIters == 0 {
-						t.Errorf("%s: the sampled run never entered the kernel", label)
-					}
-					if len(gen.samples) < 4 {
-						t.Errorf("%s: only %d samples", label, len(gen.samples))
-					}
-					if !reflect.DeepEqual(kern.samples, gen.samples) || kern.lost != gen.lost {
-						t.Errorf("%s: kernel recorded %d samples (%d lost), generic %d (%d lost)\nkernel  %+v\ngeneric %+v",
-							label, len(kern.samples), kern.lost, len(gen.samples), gen.lost, kern.samples, gen.samples)
-					}
-				}
+			for i, kc := range cases {
+				t.Run(kc.name, func(t *testing.T) { checkKernelMatchesGeneric(t, kc, progs[i], plat) })
 			}
 		})
 	}
 	t.Run("out-of-bounds", checkOutOfBoundsTraps)
 	t.Run("illegal-vector", checkIllegalVectorTrap)
+}
+
+func checkKernelMatchesGeneric(t *testing.T, kc kernelCase, prog *Program, plat *platform.Platform) {
+	type outcome struct {
+		ret     uint64
+		err     error
+		m       *Machine
+		rt      *countRuntime
+		stats   machine.Stats
+		samples []kernel.SampleRecord
+		lost    uint64
+	}
+	// run executes @loop through its kernel or the generic executor; a
+	// non-zero period arms a sampler, and the generic run then delivers
+	// at every block edge.
+	run := func(useKernel bool, maxSteps uint64, withRuntime bool, period uint64) outcome {
+		m := NewMachine(prog, plat)
+		t.Cleanup(m.Release)
+		rt := new(countRuntime)
+		if withRuntime {
+			m.SetRuntime(rt)
+		}
+		m.noKernels = !useKernel
+		if !useKernel && period > 0 {
+			m.Hart().Core.SetSink(everyEdgeSink{m.Hart().PMU})
+		}
+		m.MaxSteps = maxSteps
+		kc.seed(t, m)
+		var drain func() ([]kernel.SampleRecord, uint64)
+		if period > 0 {
+			drain = armSampler(t, m, period)
+		}
+		ret, err := m.Run("loop")
+		o := outcome{ret: ret, err: err, m: m, rt: rt, stats: m.Hart().Core.Stats()}
+		if drain != nil {
+			o.samples, o.lost = drain()
+		}
+		if useKernel && err == nil && m.kernelIters != kc.trips {
+			t.Errorf("kernel ran %d iterations, want %d", m.kernelIters, kc.trips)
+		}
+		if !useKernel && m.kernelHits != 0 {
+			t.Errorf("generic run entered %d kernels", m.kernelHits)
+		}
+		return o
+	}
+
+	kern, gen := run(true, defaultMaxStep, true, 0), run(false, defaultMaxStep, true, 0)
+	if kern.err != nil || gen.err != nil {
+		t.Fatalf("kernel run: %v, generic run: %v", kern.err, gen.err)
+	}
+	if kern.ret != gen.ret {
+		t.Errorf("kernel returned %#x, generic %#x", kern.ret, gen.ret)
+	}
+	if !bytes.Equal(kern.m.mem, gen.m.mem) {
+		t.Error("kernel left a different memory image")
+	}
+	if kern.m.dirtyHigh != gen.m.dirtyHigh {
+		t.Errorf("dirty high-water mark: kernel %#x, generic %#x", kern.m.dirtyHigh, gen.m.dirtyHigh)
+	}
+	if *kern.rt != *gen.rt || kc.count && kern.rt.calls != int64(kc.trips) {
+		t.Errorf("mperf.count: kernel %+v, generic %+v", *kern.rt, *gen.rt)
+	}
+	if kern.stats != gen.stats {
+		t.Errorf("Stats differ:\nkernel  %+v\ngeneric %+v", kern.stats, gen.stats)
+	}
+	if kern.m.Steps() != gen.m.Steps() {
+		t.Errorf("steps: kernel %d, generic %d", kern.m.Steps(), gen.m.Steps())
+	}
+
+	// A step budget that runs out mid-loop traps at the same step with
+	// the same charges.
+	budget := gen.m.Steps() / 2
+	kern, gen = run(true, budget, true, 0), run(false, budget, true, 0)
+	if kern.err == nil || !strings.Contains(kern.err.Error(), "step budget") {
+		t.Fatalf("kernel run under a step budget: %v", kern.err)
+	}
+	if kern.err.Error() != gen.err.Error() || kern.m.Steps() != gen.m.Steps() {
+		t.Errorf("budget trap: kernel at step %d (%v), generic at %d (%v)",
+			kern.m.Steps(), kern.err, gen.m.Steps(), gen.err)
+	}
+	if kern.stats != gen.stats {
+		t.Errorf("budget trap Stats differ:\nkernel  %+v\ngeneric %+v", kern.stats, gen.stats)
+	}
+
+	// Without a runtime, mperf.count traps in the first iteration, after
+	// the call uop is charged.
+	if kc.count {
+		kern, gen = run(true, defaultMaxStep, false, 0), run(false, defaultMaxStep, false, 0)
+		if kern.err == nil || !strings.Contains(kern.err.Error(), "no runtime installed") {
+			t.Fatalf("kernel run without a runtime: %v", kern.err)
+		}
+		if kern.err.Error() != gen.err.Error() || kern.stats != gen.stats {
+			t.Errorf("runtime trap: kernel %v %+v\ngeneric %v %+v", kern.err, kern.stats, gen.err, gen.stats)
+		}
+	}
+
+	// Under an armed sampler, whole and cut short by the step budget, at
+	// a period below one iteration's cycles and at one spanning several.
+	for _, period := range []uint64{7, 97} {
+		for _, budget := range []uint64{defaultMaxStep, budget} {
+			kern, gen = run(true, budget, true, period), run(false, budget, true, period)
+			label := fmt.Sprintf("period %d, budget %d", period, budget)
+			if fmt.Sprint(kern.err) != fmt.Sprint(gen.err) || kern.ret != gen.ret || kern.stats != gen.stats {
+				t.Errorf("%s: kernel %v %#x %+v\ngeneric %v %#x %+v", label,
+					kern.err, kern.ret, kern.stats, gen.err, gen.ret, gen.stats)
+			}
+			if kern.m.kernelHits == 0 && kern.m.kernelIters == 0 {
+				t.Errorf("%s: the sampled run never entered the kernel", label)
+			}
+			if len(gen.samples) < 4 {
+				t.Errorf("%s: only %d samples", label, len(gen.samples))
+			}
+			if !reflect.DeepEqual(kern.samples, gen.samples) || kern.lost != gen.lost {
+				t.Errorf("%s: kernel recorded %d samples (%d lost), generic %d (%d lost)\nkernel  %+v\ngeneric %+v",
+					label, len(kern.samples), kern.lost, len(gen.samples), gen.lost, kern.samples, gen.samples)
+			}
+		}
+	}
 }
 
 // buildOOBModule returns i64 @walk(ptr p, ptr q, ptr r, ptr s, ptr t,

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"mperf/internal/isa"
 	"mperf/internal/miniperf"
 	"mperf/internal/roofline"
 	"mperf/internal/tma"
@@ -15,14 +16,18 @@ import (
 // counting/sampling, instrumented for the two-phase roofline), execute
 // the workload, and write their slice of the Profile.
 //
-// Every collector gets its own Machine, but machines are instantiated
-// from shared immutable vm.Programs: collectors that need the same
-// build flavor (stat, record and topdown all profile the raw build;
-// workload data lives in per-machine memory, so no collector can
-// perturb another) share one cached compile, and the isolation cost of
-// a "fresh machine per collector" is a memory copy, not a rebuild.
-// Collectors Release their machine once its counters are read, so the
-// instance memory recycles through the program's pool.
+// Machines are instantiated from shared immutable vm.Programs:
+// collectors that need the same build flavor (stat, record and topdown
+// all profile the raw build; workload data lives in per-machine
+// memory, so no collector can perturb another) share one cached
+// compile, and a fresh machine costs a memory copy, not a rebuild.
+// The counting collectors, stat and topdown, measure nothing but one
+// counting run of the raw build; within one Session.Run they share
+// that run whenever the platform's PMU can count their events at once
+// (see countingRun), since counting does not perturb the model. Every
+// other collector gets its own machine. Collectors Release their
+// machine once its counters are read, so the instance memory recycles
+// through the program's pool.
 type Collector interface {
 	// Name is the registry key ("stat", "record", ...), recorded in
 	// Profile.Collectors and used to attribute failures.
@@ -92,27 +97,25 @@ type statCollector struct{}
 
 func (statCollector) Name() string { return "stat" }
 
-func (statCollector) Collect(s *Session, p *Profile) error {
+func (c statCollector) Collect(s *Session, p *Profile) error { return countAlone(s, c, p) }
+
+func (statCollector) events(s *Session) ([]isa.EventCode, error) { return s.cfg.statEvents() }
+
+// fill keeps only the session's events of the run's values: a shared
+// run also counts its other members' events, and IPC comes from the
+// stat set alone, so a set without cycles or instructions reports 0.
+func (statCollector) fill(s *Session, p *Profile, res *miniperf.StatResult) error {
 	evs, err := s.cfg.statEvents()
 	if err != nil {
 		return err
 	}
-	m, err := s.NewMachine()
-	if err != nil {
-		return err
+	own := &miniperf.StatResult{Values: make(map[string]uint64, len(evs)), ElapsedSeconds: res.ElapsedSeconds}
+	for _, ev := range evs {
+		own.Values[ev.String()] = res.Values[ev.String()]
 	}
-	defer m.Release()
-	tool, err := miniperf.Attach(m)
-	if err != nil {
-		return err
-	}
-	res, err := tool.Stat(evs, func() error { return s.spec.Run(m) })
-	if err != nil {
-		return err
-	}
-	p.Events = res.Values
-	p.ElapsedSeconds = res.ElapsedSeconds
-	p.IPC = res.IPC()
+	p.Events = own.Values
+	p.ElapsedSeconds = own.ElapsedSeconds
+	p.IPC = own.IPC()
 	return nil
 }
 
@@ -294,13 +297,17 @@ type topdownCollector struct{}
 
 func (topdownCollector) Name() string { return "topdown" }
 
-func (topdownCollector) Collect(s *Session, p *Profile) error {
-	m, err := s.NewMachine()
-	if err != nil {
-		return err
+func (c topdownCollector) Collect(s *Session, p *Profile) error { return countAlone(s, c, p) }
+
+func (topdownCollector) events(s *Session) ([]isa.EventCode, error) {
+	if err := tma.Supported(s.plat); err != nil {
+		return nil, err
 	}
-	defer m.Release()
-	b, err := tma.Measure(m, func() error { return s.spec.Run(m) })
+	return tma.Events(), nil
+}
+
+func (topdownCollector) fill(s *Session, p *Profile, res *miniperf.StatResult) error {
+	b, err := tma.FromValues(s.plat, res.Values)
 	if err != nil {
 		return err
 	}

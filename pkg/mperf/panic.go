@@ -58,14 +58,15 @@ func collectorError(name string, err error) CollectorError {
 }
 
 // collect runs one collector with panic containment and the chaos
-// fault points. Any panic out of Collect — injected or real — is
-// recovered into a *PanicError, so one crashing collector degrades
-// the Profile instead of unwinding the session (or the daemon worker)
-// it runs on. The armed fault points fire inside the contained
+// fault points; a counting collector is served by its counting run
+// instead of its own Collect. Any panic out of Collect — injected or
+// real — is recovered into a *PanicError, so one crashing collector
+// degrades the Profile instead of unwinding the session (or the
+// daemon worker) it runs on. The armed fault points fire inside the contained
 // region: collector.panic panics here, collector.slow stalls
 // (honouring ctx, which carries the server's request deadline), and
 // collector.fail returns a typed injected error.
-func (s *Session) collect(ctx context.Context, c Collector, p *Profile) (err error) {
+func (s *Session) collect(ctx context.Context, c Collector, p *Profile, run *countingRun) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = NewPanicError("collector "+c.Name(), r)
@@ -84,6 +85,9 @@ func (s *Session) collect(ctx context.Context, c Collector, p *Profile) (err err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if run != nil {
+		return run.serve(s, c.(countingCollector), p)
 	}
 	return c.Collect(s, p)
 }

@@ -344,20 +344,30 @@ func (s *Session) instantiate(optimize, instrument bool) (*vm.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.newMachine(prog), nil
+}
+
+// newMachine instantiates prog on a fresh hart of the session's
+// platform, with the session's coverage accumulator installed.
+func (s *Session) newMachine(prog *vm.Program) *vm.Machine {
 	m := vm.NewMachine(prog, s.plat)
 	if s.execStats != nil {
 		m.SetExecStats(s.execStats)
 	}
-	return m, nil
+	return m
 }
 
 // Run executes each collector over a coordinated execution of the
-// session's workload (each collector gets a fresh cold machine, so the
-// runs are independent and deterministic) and merges the results into
-// one Profile. A collector failure — including a contained panic,
-// surfaced as a *PanicError-backed CollectorError — is recorded as a
-// typed error on the profile rather than aborting the remaining
-// collectors; Run itself errors only on misuse (no collectors).
+// session's workload and merges the results into one Profile. Every
+// execution starts from a fresh cold machine, so the runs are
+// independent and deterministic. The counting collectors (stat and
+// topdown) share one counting run of the raw build when the platform's
+// PMU can count their events at once, so a Run of both executes the
+// workload once for them; the profile is the same as if each had run
+// alone. A collector failure — including a contained panic, surfaced
+// as a *PanicError-backed CollectorError — is recorded as a typed
+// error on the profile rather than aborting the remaining collectors;
+// Run itself errors only on misuse (no collectors).
 func (s *Session) Run(collectors ...Collector) (*Profile, error) {
 	return s.RunStream(context.Background(), nil, collectors...)
 }

@@ -31,8 +31,11 @@ func (s *Session) NewProfile() *Profile {
 
 // RunStream runs the collectors one after another, in declared order,
 // on the caller's goroutine. Each collector fills a fresh partial
-// profile on its own machine, and sink (if non-nil) receives that
-// partial as soon as the collector finishes. Each partial is folded,
+// profile, and sink (if non-nil) receives that partial as soon as the
+// collector finishes. The counting collectors are first grouped into
+// counting runs (countingRuns); a run executes at its first member's
+// turn and serves the later members its values, so grouping changes
+// neither the partials nor their order. Each partial is folded,
 // in declared order, into one Profile by mergeSection, with each
 // failure recorded as a typed collector error and CompileStats
 // counting the programs this call compiled or loaded. The merged
@@ -53,11 +56,12 @@ func (s *Session) RunStream(ctx context.Context, sink func(CollectorResult), col
 	}
 	compiled0, hits0, disk0 := s.compiled.Load(), s.hits.Load(), s.diskHits.Load()
 
+	runs := s.countingRuns(collectors)
 	final := s.NewProfile()
 	for i, c := range collectors {
 		partial := s.NewProfile()
 		partial.Collectors = []string{c.Name()}
-		err := s.collect(ctx, c, partial)
+		err := s.collect(ctx, c, partial, runs[i])
 		final.Collectors = append(final.Collectors, c.Name())
 		mergeSection(final, partial)
 		if err != nil {
